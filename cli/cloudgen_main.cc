@@ -138,8 +138,9 @@ int Usage() {
       "  --guard       numeric-health policy for generation steps (default\n"
       "                abort; see docs/ROBUSTNESS.md)\n"
       "  --batch-window  max traces stepped in lockstep by the batched\n"
-      "                inference engine (default 256; 0 = single-stream path;\n"
-      "                output bytes are identical for every setting)\n"
+      "                inference engine (default 256; must be >= 1; 1 = one\n"
+      "                stream per step; output bytes are identical for every\n"
+      "                setting)\n"
       "  --gen-shards  generate/serve: independent batch windows in flight on\n"
       "                the thread pool (default 0 = one per worker thread;\n"
       "                1 = single window; output bytes are identical for\n"
@@ -376,8 +377,8 @@ int RunGenerate(const Flags& flags) {
     return kExitUsage;
   }
   const long batch_window = flags.GetLong("batch-window", 256);
-  if (batch_window < 0) {
-    std::fprintf(stderr, "--batch-window must be >= 0\n");
+  if (batch_window < 1) {
+    std::fprintf(stderr, "--batch-window must be >= 1\n");
     return kExitUsage;
   }
   options.batch_window = static_cast<size_t>(batch_window);

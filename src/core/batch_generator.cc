@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/obs/fidelity_monitor.h"
 #include "src/obs/metrics.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
+#include "src/util/strings.h"
 #include "src/util/thread_pool.h"
 
 namespace cloudgen {
@@ -17,13 +21,26 @@ namespace cloudgen {
 TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
                                        const WorkloadModel::GenerateOptions& options,
                                        uint64_t base, size_t index)
-    : options_(options),
-      arrivals_(model.ArrivalModel()),
+    : TraceStreamMachine(model, model.ArrivalModel(), options, Rng::Stream(base, index),
+                         /*pause_at_periods=*/false) {
+  index_ = index;
+}
+
+TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
+                                       const BatchArrivalModel& arrivals,
+                                       const WorkloadModel::GenerateOptions& options,
+                                       Rng rng, bool pause_at_periods)
+    : model_(model),
+      options_(options),
+      arrivals_(arrivals),
       binning_(model.LifetimeModel().Binning()),
-      index_(index),
-      rng_(Rng::Stream(base, index)),
+      cancel_(pause_at_periods ? nullptr : options.cancel),
+      pause_at_periods_(pause_at_periods),
+      rng_(rng),
       trace_(model.Flavors(), options.from_period, options.to_period),
-      // Same first draw as WorkloadModel::Generate: one DOH day per trace.
+      // The first draw: one DOH day per trace, from the model's own arrival
+      // stage even under an override (a no-DOH arrival model has no
+      // meaningful DOH day of its own).
       doh_day_(model.ArrivalModel().SampleDohDay(rng_, options.doh_mode)),
       flavor_gen_(model.FlavorModel(), doh_day_, options.eob_scale, options.guard),
       lifetime_gen_(model.LifetimeModel(), doh_day_, options.guard),
@@ -32,12 +49,14 @@ TraceStreamMachine::TraceStreamMachine(const WorkloadModel& model,
 
 void TraceStreamMachine::Advance() {
   // Hot-path metric handles, registered once per process (see metrics.h).
-  // Same counters, bumped at the same points, as PeriodEngine::RunPeriod.
   static obs::Counter& period_counter = obs::Registry::Global().GetCounter("gen.periods");
   static obs::Counter& batch_counter = obs::Registry::Global().GetCounter("gen.batches");
   static obs::Counter& job_counter = obs::Registry::Global().GetCounter("gen.jobs");
-  // Observe-only fidelity hook, mirroring PeriodEngine::RunPeriod.
+  // Observe-only fidelity hook (src/obs/fidelity_monitor.h): one relaxed
+  // load when the monitor is off, never an Rng touch either way.
   obs::FidelityMonitor& fidelity = obs::FidelityMonitor::Global();
+  // Leaving a pause enters the period the machine is paused at.
+  bool enter = need_ == Need::kPeriodStart;
   for (;;) {
     switch (phase_) {
       case Phase::kPeriodStart: {
@@ -45,7 +64,12 @@ void TraceStreamMachine::Advance() {
           need_ = Need::kDone;
           return;
         }
-        if (options_.cancel != nullptr && options_.cancel->Poll()) {
+        if (pause_at_periods_ && !enter) {
+          need_ = Need::kPeriodStart;
+          return;
+        }
+        enter = false;
+        if (cancel_ != nullptr && cancel_->Poll()) {
           // Partial trace: the driver discards it, never persists it.
           need_ = Need::kDone;
           return;
@@ -66,13 +90,13 @@ void TraceStreamMachine::Advance() {
       }
       case Phase::kFlavor: {
         if (flavor_gen_.PeriodActive() &&
-            !(options_.cancel != nullptr && options_.cancel->Cancelled())) {
+            !(cancel_ != nullptr && cancel_->Cancelled())) {
           need_ = Need::kFlavorStep;
           return;
         }
         // Period's token stream is complete (or cancelled mid-stream, in
-        // which case the partial batches flow through the lifetime stage
-        // exactly as GeneratePeriod's early break does).
+        // which case the partial batches still flow through the lifetime
+        // stage; the caller discards the partial trace).
         batches_ = flavor_gen_.TakeBatches();
         batch_counter.Add(static_cast<uint64_t>(batches_.size()));
         batch_idx_ = 0;
@@ -137,6 +161,13 @@ void TraceStreamMachine::RunNeededStepSingle() {
   Advance();
 }
 
+void TraceStreamMachine::RunSingle() {
+  Advance();
+  while (need_ == Need::kFlavorStep || need_ == Need::kLifetimeStep) {
+    RunNeededStepSingle();
+  }
+}
+
 void TraceStreamMachine::EmitJob(size_t bin) {
   const double duration =
       SampleDurationInBin(binning_, bin, options_.interpolation, rng_);
@@ -166,20 +197,56 @@ bool TraceStreamMachine::StepWantsLogits() const {
   return need_ != Need::kFlavorStep || !factored_flavor_;
 }
 
+std::string TraceStreamMachine::SaveState() const {
+  CG_CHECK(phase_ == Phase::kPeriodStart);
+  std::ostringstream out;
+  const int32_t doh_day = doh_day_;
+  out.write(reinterpret_cast<const char*>(&doh_day), sizeof(doh_day));
+  out.write(reinterpret_cast<const char*>(&next_user_), sizeof(next_user_));
+  flavor_gen_.SaveState(out);
+  lifetime_gen_.SaveState(out);
+  rng_.SaveState(out);
+  return std::move(out).str();
+}
+
+Status TraceStreamMachine::LoadState(const std::string& blob, int64_t period) {
+  std::istringstream in(blob);
+  int32_t doh_day = 0;
+  in.read(reinterpret_cast<char*>(&doh_day), sizeof(doh_day));
+  in.read(reinterpret_cast<char*>(&next_user_), sizeof(next_user_));
+  if (!in) {
+    return DataLossError("truncated generator state");
+  }
+  if (doh_day < 1 || doh_day > model_.HistoryDays()) {
+    return FailedPreconditionError(
+        StrFormat("generator state has DOH day %d; the model knows days 1..%d",
+                  static_cast<int>(doh_day), model_.HistoryDays()));
+  }
+  doh_day_ = doh_day;
+  CG_RETURN_IF_ERROR(flavor_gen_.LoadState(in, doh_day_));
+  CG_RETURN_IF_ERROR(lifetime_gen_.LoadState(in, doh_day_));
+  rng_.LoadState(in);
+  if (!in) {
+    return DataLossError("truncated Rng state in generator state");
+  }
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return DataLossError("trailing bytes after generator state");
+  }
+  period_ = period;
+  phase_ = Phase::kPeriodStart;
+  need_ = Need::kDone;
+  return OkStatus();
+}
+
 BatchTraceEngine::BatchTraceEngine(const WorkloadModel& model,
                                    const WorkloadModel::GenerateOptions& options,
                                    uint64_t base)
     : model_(model), options_(options), base_(base) {}
 
-void BatchTraceEngine::Run(size_t first, size_t count, size_t window,
-                           const std::function<bool(size_t, Trace&&)>& emit) {
-  RunStrided(first, 1, first + count, window, emit);
-}
-
 void BatchTraceEngine::RunStrided(size_t first, size_t stride, size_t end,
                                   size_t window,
                                   const std::function<bool(size_t, Trace&&)>& emit) {
-  window = std::max<size_t>(1, window);
+  CG_CHECK(window >= 1);
   stride = std::max<size_t>(1, stride);
   // Hot-path metric handles, registered once per process (see metrics.h).
   static obs::Counter& tick_counter =
@@ -306,29 +373,19 @@ void RunShardedBatchEngines(const WorkloadModel& model,
   static obs::Gauge& occupancy_gauge =
       obs::Registry::Global().GetGauge("gen.shard.occupancy");
 
-  window = std::max<size_t>(1, window);
+  CG_CHECK(window >= 1);
   shards = std::max<size_t>(1, std::min(shards, std::max<size_t>(1, count)));
   const size_t end = first + count;
 
-  if (shards == 1) {
-    BatchTraceEngine engine(model, options, base);
-    engine.Run(first, count, window, emit);
-    shard_tick_counter.Add(engine.TicksRun());
-    shard_row_counter.Add(engine.RowsStepped());
-    if (engine.TicksRun() > 0) {
-      occupancy_gauge.Set(static_cast<double>(engine.RowsStepped()) /
-                          (static_cast<double>(engine.TicksRun()) *
-                           static_cast<double>(window)));
-    }
-    return;
-  }
-
-  // `emit` feeds the caller's reorder buffer, which is not thread-safe; one
-  // mutex serializes it across shards. A false return latches `stop` so
-  // every shard winds down at its next retire without touching `emit` again.
+  // The reorder buffer: traces retire in completion order (interleaved
+  // across shards) and leave here strictly in index order. One mutex
+  // serializes `emit`; a false return latches `stop` so every shard winds
+  // down at its next retire without touching `emit` again.
   std::mutex emit_mu;
   std::atomic<bool> stop{false};
-  auto shared_emit = [&emit, &emit_mu, &stop](size_t index, Trace&& trace) {
+  std::map<size_t, Trace> pending;
+  size_t next_emit = first;
+  auto in_order_emit = [&](size_t index, Trace&& trace) {
     if (stop.load(std::memory_order_relaxed)) {
       return false;
     }
@@ -336,32 +393,42 @@ void RunShardedBatchEngines(const WorkloadModel& model,
     if (stop.load(std::memory_order_relaxed)) {
       return false;
     }
-    if (!emit(index, std::move(trace))) {
-      stop.store(true, std::memory_order_relaxed);
-      return false;
+    pending.emplace(index, std::move(trace));
+    while (!pending.empty() && pending.begin()->first == next_emit) {
+      Trace ready = std::move(pending.begin()->second);
+      pending.erase(pending.begin());
+      if (!emit(next_emit++, std::move(ready))) {
+        stop.store(true, std::memory_order_relaxed);
+        return false;
+      }
     }
     return true;
   };
 
-  // One engine per shard, each a pool task. The inner cap splits the pool
-  // evenly so shards x inner <= pool size (see ScopedInnerParallelism); with
-  // fewer cores than shards every shard's inner GEMMs just run inline.
-  const size_t inner = std::max<size_t>(1, GlobalParallelism() / shards);
   std::vector<std::unique_ptr<BatchTraceEngine>> engines;
   engines.reserve(shards);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
+  if (shards == 1) {
     engines.push_back(std::make_unique<BatchTraceEngine>(model, options, base));
-    BatchTraceEngine* engine = engines.back().get();
-    const size_t shard_first = first + s;
-    tasks.push_back([engine, shard_first, shards, end, window, inner,
-                     &shared_emit] {
-      ScopedInnerParallelism scope(inner);
-      engine->RunStrided(shard_first, shards, end, window, shared_emit);
-    });
+    engines.back()->RunStrided(first, 1, end, window, in_order_emit);
+  } else {
+    // One engine per shard, each a pool task. The inner cap splits the pool
+    // evenly so shards x inner <= pool size (see ScopedInnerParallelism);
+    // with fewer cores than shards every shard's inner GEMMs just run inline.
+    const size_t inner = std::max<size_t>(1, GlobalParallelism() / shards);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      engines.push_back(std::make_unique<BatchTraceEngine>(model, options, base));
+      BatchTraceEngine* engine = engines.back().get();
+      const size_t shard_first = first + s;
+      tasks.push_back([engine, shard_first, shards, end, window, inner,
+                       &in_order_emit] {
+        ScopedInnerParallelism scope(inner);
+        engine->RunStrided(shard_first, shards, end, window, in_order_emit);
+      });
+    }
+    GlobalThreadPool().RunAll(tasks);
   }
-  GlobalThreadPool().RunAll(tasks);
 
   uint64_t ticks = 0;
   uint64_t rows = 0;

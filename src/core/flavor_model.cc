@@ -12,7 +12,6 @@
 #include "src/nn/losses.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_span.h"
-#include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/fault.h"
 #include "src/util/log.h"
@@ -383,25 +382,20 @@ void FlavorLstmModel::Generator::SaveState(std::ostream& out) const {
   WriteLstmState(out, state_);
 }
 
-void FlavorLstmModel::Generator::LoadState(std::istream& in) {
+Status FlavorLstmModel::Generator::LoadState(std::istream& in, int doh_day) {
   uint64_t prev = 0;
   in.read(reinterpret_cast<char*>(&prev), sizeof(prev));
-  CG_CHECK_MSG(static_cast<bool>(in), "truncated flavor generator state");
-  prev_token_ = static_cast<size_t>(prev);
-  ReadLstmState(in, &state_);
-}
-
-std::vector<std::vector<int32_t>> FlavorLstmModel::Generator::GeneratePeriod(
-    int64_t period, int64_t n_batches, Rng& rng, size_t max_jobs,
-    const CancelToken* cancel) {
-  StartPeriod(period, n_batches, max_jobs);
-  while (PeriodActive()) {
-    if (cancel != nullptr && cancel->Cancelled()) {
-      break;  // Partial period: the caller discards the whole trace.
-    }
-    StepToken(rng);
+  if (!in) {
+    return DataLossError("truncated flavor generator state");
   }
-  return TakeBatches();
+  if (prev >= model_.Vocab().NumTokens()) {
+    return FailedPreconditionError(
+        StrFormat("flavor generator state has previous token %llu; the model has %zu tokens",
+                  static_cast<unsigned long long>(prev), model_.Vocab().NumTokens()));
+  }
+  prev_token_ = static_cast<size_t>(prev);
+  doh_day_ = doh_day;
+  return ReadLstmState(in, &state_).WithContext("flavor generator state");
 }
 
 void FlavorLstmModel::Generator::StartPeriod(int64_t period, int64_t n_batches,

@@ -26,7 +26,6 @@
 
 namespace cloudgen {
 
-class CancelToken;
 class Rng;
 
 struct FlavorModelConfig {
@@ -62,8 +61,6 @@ struct FlavorStream {
 };
 
 // Safety cap on jobs sampled per period: bounds runaway token sequences.
-// Shared by the single-stream and batched generation drivers so the two
-// routes truncate at exactly the same point.
 inline constexpr size_t kGenMaxJobsPerPeriod = 20000;
 
 class FlavorLstmModel {
@@ -108,9 +105,10 @@ class FlavorLstmModel {
   void InvalidatePackedForTest() { network_.InvalidatePacked(); }
   void PrepackForTest() { network_.Prepack(); }
 
-  // Stateful generator: call GeneratePeriod for consecutive periods of one
-  // sampled trace (hidden state persists across periods, so cross-period
-  // momentum carries through).
+  // Stateful token generator for consecutive periods of one sampled trace
+  // (hidden state persists across periods, so cross-period momentum carries
+  // through). The trace loop that drives it is TraceStreamMachine
+  // (src/core/batch_generator.h).
   class Generator {
    public:
     // `eob_scale` post-processes the EOB token's probability at every step
@@ -123,26 +121,18 @@ class FlavorLstmModel {
     Generator(const FlavorLstmModel& model, int doh_day, double eob_scale = 1.0,
               GuardPolicy guard = GuardPolicy::kAbort);
 
-    // Generates all jobs for `period` as `n_batches` batches of flavors.
-    // A safety cap bounds runaway sequences. When `cancel` is set, the token
-    // loop winds down early once cancellation is requested (the partial
-    // period is discarded by the caller, never persisted).
-    std::vector<std::vector<int32_t>> GeneratePeriod(
-        int64_t period, int64_t n_batches, Rng& rng,
-        size_t max_jobs = kGenMaxJobsPerPeriod, const CancelToken* cancel = nullptr);
-
-    // Decomposed token machine — the same per-token cycle GeneratePeriod
-    // runs, split open so the batched engine (src/core/batch_generator.h)
-    // can execute the LSTM step of many generators as one gathered batch.
-    // Protocol: StartPeriod, then while PeriodActive() either call
-    // StepToken (single-stream: encode + LSTM step + sample in one call;
-    // exactly one GeneratePeriod iteration) or the split halves —
-    // BeginStep(x_row) to encode this step's input into a gathered batch
-    // row, an external LSTM step that scatters h/c (and, for dense heads,
-    // the logits row) back into MutableState()/MutableLogits(), then
-    // ConsumeStep to sample and advance. Token draws come only from `rng`,
-    // so a stream's output depends only on its own Rng regardless of how
-    // steps are batched. TakeBatches() yields the finished period.
+    // Token machine for one period. Protocol: StartPeriod(period,
+    // n_batches), then while PeriodActive() either call StepToken
+    // (single-stream: encode + LSTM step + sample in one call) or the split
+    // halves — BeginStep(x_row) to encode this step's input into a gathered
+    // batch row, an external LSTM step that scatters h/c (and, for dense
+    // heads, the logits row) back into MutableState()/MutableLogits(), then
+    // ConsumeStep to sample and advance. Sampling stops at the n_batches-th
+    // EOB or at `max_jobs` jobs (a safety cap on runaway sequences). Token
+    // draws come only from `rng`, so a stream's output depends only on its
+    // own Rng regardless of how steps are batched. TakeBatches() yields the
+    // period's batches of flavors (also a partial period's, when the caller
+    // stops stepping early).
     void StartPeriod(int64_t period, int64_t n_batches,
                      size_t max_jobs = kGenMaxJobsPerPeriod);
     bool PeriodActive() const { return period_active_; }
@@ -160,11 +150,13 @@ class FlavorLstmModel {
     LstmState* MutableState() { return &state_; }
     Matrix* MutableLogits() { return &logits_; }
 
-    // Exact generator state (hidden state + previous-token feedback) for
-    // streaming-mode generation checkpoints. LoadState requires a Generator
-    // constructed against the same model/options.
+    // Exact generator state (previous-token feedback + hidden state) for
+    // streaming-mode generation checkpoints. The DOH day travels ahead of
+    // it in the checkpoint and is restored through `doh_day`. LoadState
+    // returns DATA_LOSS on a truncated stream and FAILED_PRECONDITION when
+    // the token or the LSTM shape does not fit this generator's model.
     void SaveState(std::ostream& out) const;
-    void LoadState(std::istream& in);
+    Status LoadState(std::istream& in, int doh_day);
 
    private:
     // Shared post-sample tail: batch/EOB bookkeeping, job cap, feedback.

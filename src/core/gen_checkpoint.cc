@@ -7,6 +7,7 @@
 #include "src/tensor/matrix.h"
 #include "src/util/check.h"
 #include "src/util/sealed_file.h"
+#include "src/util/strings.h"
 
 namespace cloudgen {
 namespace {
@@ -42,17 +43,39 @@ void WriteLstmState(std::ostream& out, const LstmState& state) {
   }
 }
 
-void ReadLstmState(std::istream& in, LstmState* state) {
+Status ReadLstmState(std::istream& in, LstmState* state) {
   uint64_t layers = 0;
-  CG_CHECK_MSG(ReadPod(in, &layers), "truncated LSTM state");
-  state->h.clear();
-  state->c.clear();
-  state->h.reserve(layers);
-  state->c.reserve(layers);
-  for (uint64_t layer = 0; layer < layers; ++layer) {
-    state->h.push_back(ReadMatrix(in));
-    state->c.push_back(ReadMatrix(in));
+  if (!ReadPod(in, &layers)) {
+    return DataLossError("truncated LSTM state");
   }
+  if (layers != state->h.size()) {
+    return FailedPreconditionError(
+        StrFormat("LSTM state has %llu layers; the model has %zu",
+                  static_cast<unsigned long long>(layers), state->h.size()));
+  }
+  for (size_t layer = 0; layer < state->h.size(); ++layer) {
+    for (Matrix* m : {&state->h[layer], &state->c[layer]}) {
+      // The header must match the model's shape before any payload is read,
+      // so a mismatched or corrupt blob never sizes an allocation.
+      uint64_t rows = 0;
+      uint64_t cols = 0;
+      if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) {
+        return DataLossError("truncated LSTM state");
+      }
+      if (rows != m->Rows() || cols != m->Cols()) {
+        return FailedPreconditionError(StrFormat(
+            "LSTM state layer %zu is %llux%llu; the model's is %zux%zu", layer,
+            static_cast<unsigned long long>(rows), static_cast<unsigned long long>(cols),
+            m->Rows(), m->Cols()));
+      }
+      in.read(reinterpret_cast<char*>(m->Data()),
+              static_cast<std::streamsize>(sizeof(float) * m->Size()));
+      if (!in) {
+        return DataLossError("truncated LSTM state");
+      }
+    }
+  }
+  return OkStatus();
 }
 
 Status SaveGenCheckpoint(const std::string& path, const GenCursor& cursor) {

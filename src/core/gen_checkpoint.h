@@ -57,9 +57,12 @@ Status LoadGenCheckpoint(const std::string& path, GenCursor* cursor);
 uint64_t HashMix(uint64_t h, uint64_t v);
 
 // Exact binary (de)serialization of an LSTM hidden state, shared by the
-// generator SaveState/LoadState implementations.
+// generator SaveState/LoadState implementations. ReadLstmState reads into a
+// state already shaped for the model (SequenceNetwork::MakeState): DATA_LOSS
+// on a truncated stream, FAILED_PRECONDITION when the layer count or any
+// matrix shape differs, checked before the payload is read.
 void WriteLstmState(std::ostream& out, const LstmState& state);
-void ReadLstmState(std::istream& in, LstmState* state);
+Status ReadLstmState(std::istream& in, LstmState* state);
 
 }  // namespace cloudgen
 

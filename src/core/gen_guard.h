@@ -49,8 +49,8 @@ bool ParseGuardPolicy(std::string_view name, GuardPolicy* policy);
 const char* GuardPolicyName(GuardPolicy policy);
 
 // Thrown on --guard=abort (or when a fallback recompute is unhealthy too).
-// Propagates through ThreadPool::ParallelFor's exception capture to the
-// caller; the CLI converts it to exit code 6.
+// Propagates through the thread pool's exception capture (ParallelFor,
+// RunAll) to the caller; the CLI converts it to exit code 6.
 class GuardViolation : public std::runtime_error {
  public:
   explicit GuardViolation(const std::string& message)

@@ -463,18 +463,26 @@ void LifetimeLstmModel::Generator::SaveState(std::ostream& out) const {
   WriteLstmState(out, state_);
 }
 
-void LifetimeLstmModel::Generator::LoadState(std::istream& in) {
+Status LifetimeLstmModel::Generator::LoadState(std::istream& in, int doh_day) {
   uint8_t valid = 0;
   uint8_t censored = 0;
   uint64_t bin = 0;
   in.read(reinterpret_cast<char*>(&valid), sizeof(valid));
   in.read(reinterpret_cast<char*>(&censored), sizeof(censored));
   in.read(reinterpret_cast<char*>(&bin), sizeof(bin));
-  CG_CHECK_MSG(static_cast<bool>(in), "truncated lifetime generator state");
+  if (!in) {
+    return DataLossError("truncated lifetime generator state");
+  }
+  if (bin >= model_.Binning().NumBins()) {
+    return FailedPreconditionError(
+        StrFormat("lifetime generator state has previous bin %llu; the model has %zu bins",
+                  static_cast<unsigned long long>(bin), model_.Binning().NumBins()));
+  }
   prev_.valid = valid != 0;
   prev_.censored = censored != 0;
   prev_.bin = static_cast<size_t>(bin);
-  ReadLstmState(in, &state_);
+  doh_day_ = doh_day;
+  return ReadLstmState(in, &state_).WithContext("lifetime generator state");
 }
 
 Status LifetimeLstmModel::SaveToFile(const std::string& path) const {

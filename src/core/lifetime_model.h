@@ -139,11 +139,13 @@ class LifetimeLstmModel {
     LstmState* MutableState() { return &state_; }
     Matrix* MutableLogits() { return &logits_; }
 
-    // Exact generator state (hidden state + previous-lifetime feedback) for
-    // streaming-mode generation checkpoints. LoadState requires a Generator
-    // constructed against the same model/options.
+    // Exact generator state (previous-lifetime feedback + hidden state) for
+    // streaming-mode generation checkpoints. The DOH day travels ahead of
+    // it in the checkpoint and is restored through `doh_day`. LoadState
+    // returns DATA_LOSS on a truncated stream and FAILED_PRECONDITION when
+    // the bin or the LSTM shape does not fit this generator's model.
     void SaveState(std::ostream& out) const;
-    void LoadState(std::istream& in);
+    Status LoadState(std::istream& in, int doh_day);
 
    private:
     const LifetimeLstmModel& model_;

@@ -25,6 +25,7 @@
 
 namespace cloudgen {
 
+class CancelToken;
 class Rng;
 
 // Reuses the flavor-model hyperparameters.

@@ -27,6 +27,7 @@
 
 namespace cloudgen {
 
+class CancelToken;
 class TraceSink;
 
 struct WorkloadModelConfig {
@@ -66,15 +67,15 @@ class WorkloadModel {
     // buffered and checkpoint so --resume-gen continues bitwise-identically.
     const CancelToken* cancel = nullptr;
     // Max traces stepped in lockstep by the batched multi-stream engine
-    // (GenerateMany; see src/core/batch_generator.h): each tick runs the
-    // active streams' LSTM steps as one blocked GEMM batch instead of
-    // per-trace GEMVs. Output bytes are identical for every window — each
-    // stream draws only from its own Rng::Stream and batched GEMM rows are
-    // bitwise-equal to batch-1 steps — so this is purely a throughput knob.
-    // 0 disables the engine and keeps the legacy trace-parallel
-    // single-stream path (the bitwise oracle route). Deliberately NOT part
-    // of the resume fingerprint: checkpoints transfer across window
-    // settings.
+    // (GenerateMany, GenerateTraceRowsRange; see
+    // src/core/batch_generator.h): each tick runs the active streams' LSTM
+    // steps as one blocked GEMM batch instead of per-trace GEMVs. Must be
+    // >= 1. Output bytes are identical for every window — each stream draws
+    // only from its own Rng::Stream and batched GEMM rows are bitwise-equal
+    // to batch-1 steps — so this is purely a throughput knob; window 1 is
+    // the single-stream GEMV route and the oracle for batching.
+    // Deliberately NOT part of the resume fingerprint: checkpoints transfer
+    // across window settings.
     size_t batch_window = 256;
     // Number of independent batch windows in flight (sharded tick
     // scheduler, src/core/batch_generator.h): the trace population is
@@ -86,25 +87,26 @@ class WorkloadModel {
     // trace is a pure function of (base, index), so bytes are identical at
     // any shard count — and it is likewise NOT part of the resume
     // fingerprint: checkpoints transfer across shard settings. Ignored by
-    // GenerateStreaming (one trace has nothing to shard) and by the
-    // single-stream path (batch_window == 0).
+    // the single-trace routes (Generate, GenerateStreaming).
     size_t gen_shards = 0;
   };
 
-  // Shard count GenerateMany actually uses: `options.gen_shards` when set,
-  // else one shard per pool thread, both clamped to the population (never
-  // more shards than traces, never 0). With a 1-thread pool the auto
+  // Shard count the batched engine actually uses: `options.gen_shards` when
+  // set, else one shard per pool thread, both clamped to the population
+  // (never more shards than traces, never 0). With a 1-thread pool the auto
   // default is 1 — the sharded scheduler only engages when it can overlap.
   static size_t EffectiveGenShards(const GenerateOptions& options, size_t count);
 
   // Samples one synthetic trace covering [from_period, to_period). One DOH
   // day is sampled per trace so the whole sample coheres with one recent-past
-  // behaviour pattern.
+  // behaviour pattern. Draws from `rng` and leaves it advanced past the
+  // trace, so repeated calls on one Rng sample successive traces.
   Trace Generate(const GenerateOptions& options, Rng& rng) const;
 
   // Ablation hook (Fig. 8's "remove the DOH features"): generate with an
   // externally-fitted stage-1 arrival model (e.g. one fit without DOH) while
-  // keeping the trained flavor/lifetime LSTMs.
+  // keeping the trained flavor/lifetime LSTMs. The DOH day is still drawn
+  // from this model's own arrival stage.
   Trace GenerateWithArrivalModel(const BatchArrivalModel& arrivals,
                                  const GenerateOptions& options, Rng& rng) const;
 
@@ -154,10 +156,13 @@ class WorkloadModel {
   Status GenerateMany(const GenerateOptions& options, size_t count, Rng& rng,
                       const GenerateRun& run, GenerateReport* report) const;
 
-  // Streams ONE trace period by period — the month-scale serving shape. The
-  // periods of a trace share evolving LSTM/RNG state, so checkpoints carry
-  // an exact state blob (both generators, feedback features, Rng::SaveState)
-  // captured at a period boundary; resume is bitwise-identical.
+  // Streams ONE trace period by period — the month-scale serving shape —
+  // holding one period's jobs in memory at a time. The periods of a trace
+  // share evolving LSTM/RNG state, so checkpoints carry an exact state blob
+  // (TraceStreamMachine::SaveState) captured at a period boundary; resume is
+  // bitwise-identical, and a blob that is truncated or does not fit the
+  // model fails the resume with DATA_LOSS / FAILED_PRECONDITION.
+  // Cancellation lands only at period boundaries.
   Status GenerateStreaming(const GenerateOptions& options, Rng& rng,
                            const GenerateRun& run, GenerateReport* report) const;
 
@@ -169,16 +174,11 @@ class WorkloadModel {
   // `generate --seed <seed>` run — without a sink or a manifest.
   static uint64_t TraceFamilyBase(uint64_t seed);
 
-  // Appends trace `index`'s serialized rows (AppendJobRow format, the bytes
-  // GenerateMany flushes for that index) to `*out`.
-  void GenerateTraceRows(const GenerateOptions& options, uint64_t base,
-                         size_t index, std::string* out) const;
-
-  // Appends the concatenated rows of traces [first, first + count), in index
-  // order — the bytes GenerateMany would flush for that index range. The
-  // range shares one batched (and, when profitable, sharded) engine run, so
-  // the serve fetch path amortizes window fill across traces instead of
-  // paying a cold engine per trace.
+  // Appends the concatenated rows (AppendJobRow format) of traces
+  // [first, first + count), in index order — the bytes GenerateMany would
+  // flush for that index range. The range shares one batched (and, when
+  // profitable, sharded) engine run, so the serve fetch path amortizes
+  // window fill across traces instead of paying a cold engine per trace.
   void GenerateTraceRowsRange(const GenerateOptions& options, uint64_t base,
                               size_t first, size_t count, std::string* out) const;
 
@@ -229,10 +229,6 @@ class WorkloadModel {
                                const WorkloadModelConfig& config);
 
  private:
-  // Checkpointable per-trace generation state: both stage generators plus
-  // the synthetic-user counter. Defined in the .cc.
-  class PeriodEngine;
-
   BatchArrivalModel arrival_model_;
   FlavorLstmModel flavor_model_;
   LifetimeLstmModel lifetime_model_;

@@ -1,6 +1,6 @@
 // Observe-only online fidelity monitor: accumulates the empirical lifetime,
 // arrival, and flavor-mix distributions of generated traces as generation
-// proceeds (hooked into PeriodEngine and the batched multi-stream engine) and
+// proceeds (hooked into TraceStreamMachine, the one generation loop) and
 // publishes drift distances against reference distributions derived from the
 // fitted model (survival hazards, IRLS arrival rates, flavor head marginals).
 //

@@ -627,8 +627,8 @@ Status StreamServer::RunStreamSession(Socket& conn, const Frame& open) {
       if (chunk_traces > 1) {
         chunk_traces = 1;
         buffer.clear();
-        model_->GenerateTraceRows(options_.gen, base,
-                                  static_cast<size_t>(next_trace), &buffer);
+        model_->GenerateTraceRowsRange(options_.gen, base,
+                                       static_cast<size_t>(next_trace), 1, &buffer);
         reserved = lease.ReserveBytes(buffer.size());
       }
       if (!reserved) {

@@ -2,9 +2,9 @@
 // (src/core/batch_generator.h). The engine's contract is that generation is
 // purely a throughput knob: for ANY batch window and ANY thread count, every
 // trace is bitwise-identical to the single-stream oracle route
-// (batch_window = 0, the legacy per-trace path), because each stream draws
-// only from its own Rng::Stream and batched GEMM rows reduce in the same
-// per-element order as batch-1 GEMVs.
+// (batch_window = 1, where every step is a batch-1 GEMV), because each
+// stream draws only from its own Rng::Stream and batched GEMM rows reduce in
+// the same per-element order as batch-1 GEMVs.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/workload_model.h"
+#include "src/obs/metrics.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
@@ -134,7 +135,7 @@ TEST(BatchGenIdentity, BatchedMatchesOracleAcrossWindowsAndThreads) {
   constexpr size_t kCount = 70;  // > 64 so the 64-window actually refills.
 
   const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+      GenerateAt(model, options, kCount, /*window=*/1, /*threads=*/1);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();
@@ -151,6 +152,64 @@ TEST(BatchGenIdentity, BatchedMatchesOracleAcrossWindowsAndThreads) {
   }
 }
 
+// Window 1 steps every trace on the same single-step route Generate takes, so
+// trace i of the family is Generate on Rng::Stream(base, i).
+TEST(BatchGenIdentity, WindowOneMatchesSingleTraceGenerate) {
+  const WorkloadModel& model = DenseModel();
+  const WorkloadModel::GenerateOptions options = BaseOptions();
+  constexpr size_t kCount = 6;
+
+  const std::vector<Trace> oracle =
+      GenerateAt(model, options, kCount, /*window=*/1, /*threads=*/1);
+  const uint64_t base = WorkloadModel::TraceFamilyBase(99);
+  for (size_t i = 0; i < kCount; ++i) {
+    Rng stream = Rng::Stream(base, i);
+    ExpectSameTrace(oracle[i], model.Generate(options, stream), i, "Generate");
+  }
+}
+
+// Generate drives one machine directly, so it bumps the generation counters
+// at the same points as the engine does for the same trace, and never the
+// engine's own gen.batch.* / gen.shard.* counters.
+TEST(BatchGenIdentity, SingleTraceRouteCountsLikeTheEngine) {
+  const WorkloadModel& model = DenseModel();
+  const WorkloadModel::GenerateOptions options = BaseOptions();
+  const std::vector<std::string> generation = {"gen.periods", "gen.batches", "gen.jobs",
+                                               "gen.tokens"};
+  const std::vector<std::string> engine = {"gen.batch.ticks", "gen.batch.rows",
+                                           "gen.batch.singles", "gen.shard.ticks",
+                                           "gen.shard.rows"};
+  const auto snapshot = [](const std::vector<std::string>& names) {
+    std::vector<uint64_t> values;
+    for (const std::string& name : names) {
+      values.push_back(obs::Registry::Global().GetCounter(name).Value());
+    }
+    return values;
+  };
+  const auto delta = [](const std::vector<uint64_t>& after,
+                        const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> d;
+    for (size_t k = 0; k < after.size(); ++k) {
+      d.push_back(after[k] - before[k]);
+    }
+    return d;
+  };
+
+  const std::vector<uint64_t> gen0 = snapshot(generation);
+  const std::vector<uint64_t> engine0 = snapshot(engine);
+  Rng stream = Rng::Stream(WorkloadModel::TraceFamilyBase(99), 0);
+  const Trace trace = model.Generate(options, stream);
+  const std::vector<uint64_t> gen1 = snapshot(generation);
+  EXPECT_EQ(snapshot(engine), engine0);
+  const std::vector<uint64_t> single = delta(gen1, gen0);
+  EXPECT_EQ(single[0], static_cast<uint64_t>(options.to_period - options.from_period));
+  EXPECT_EQ(single[2], trace.NumJobs());
+
+  GenerateAt(model, options, /*count=*/1, /*window=*/1, /*threads=*/1);
+  EXPECT_EQ(delta(snapshot(generation), gen1), single);
+  EXPECT_NE(snapshot(engine), engine0);
+}
+
 // Staggered stream lengths: a longer horizon and a scaled arrival rate make
 // per-stream token counts diverge sharply, so mid-tick groups are ragged
 // (some streams in the flavor phase, others in the lifetime phase, retiring
@@ -163,7 +222,7 @@ TEST(BatchGenIdentity, RaggedStaggeredStreamsStayByteIdentical) {
   constexpr size_t kCount = 20;
 
   const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+      GenerateAt(model, options, kCount, /*window=*/1, /*threads=*/1);
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 7, 4),
                    "ragged window=7 threads=4");
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 3, 1),
@@ -181,7 +240,7 @@ TEST(BatchGenIdentity, WhatIfKnobsMatchOracle) {
   constexpr size_t kCount = 12;
 
   const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+      GenerateAt(model, options, kCount, /*window=*/1, /*threads=*/1);
   ExpectSameTraces(oracle, GenerateAt(model, options, kCount, 5, 4),
                    "eob_scale window=5 threads=4");
 }
@@ -195,7 +254,7 @@ TEST(BatchGenIdentity, FactoredHeadBatchedMatchesOracle) {
   constexpr size_t kCount = 24;
 
   const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/0, /*threads=*/1);
+      GenerateAt(model, options, kCount, /*window=*/1, /*threads=*/1);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();

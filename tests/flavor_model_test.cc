@@ -4,6 +4,7 @@
 #include "src/core/flavor_model.h"
 
 #include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,16 @@ TEST(FlavorLstm, TrainEvaluateBeatsMultinomial) {
   EXPECT_LT(lstm.one_best_err_flavor_only, base.one_best_err);
 }
 
+// One period of the generator's token machine on the single-stream route.
+std::vector<std::vector<int32_t>> SamplePeriod(FlavorLstmModel::Generator& generator,
+                                               int64_t period, int64_t n_batches, Rng& rng) {
+  generator.StartPeriod(period, n_batches);
+  while (generator.PeriodActive()) {
+    generator.StepToken(rng);
+  }
+  return generator.TakeBatches();
+}
+
 TEST(FlavorLstm, GeneratorEmitsRequestedBatches) {
   const Fixture fixture;
   FlavorLstmModel model;
@@ -109,7 +120,7 @@ TEST(FlavorLstm, GeneratorEmitsRequestedBatches) {
 
   FlavorLstmModel::Generator generator(model, 2);
   Rng gen_rng(7);
-  const auto batches = generator.GeneratePeriod(10, 5, gen_rng);
+  const auto batches = SamplePeriod(generator, 10, 5, gen_rng);
   ASSERT_EQ(batches.size(), 5u);
   for (const auto& batch : batches) {
     EXPECT_FALSE(batch.empty()) << "batches must contain at least one job";
@@ -119,7 +130,7 @@ TEST(FlavorLstm, GeneratorEmitsRequestedBatches) {
     }
   }
   // Zero batches → no jobs.
-  EXPECT_TRUE(generator.GeneratePeriod(11, 0, gen_rng).empty());
+  EXPECT_TRUE(SamplePeriod(generator, 11, 0, gen_rng).empty());
 }
 
 TEST(FlavorLstm, GeneratedBatchesAreSticky) {
@@ -133,7 +144,7 @@ TEST(FlavorLstm, GeneratedBatchesAreSticky) {
   size_t same = 0;
   size_t pairs = 0;
   for (int64_t period = 0; period < 40; ++period) {
-    for (const auto& batch : generator.GeneratePeriod(period, 3, gen_rng)) {
+    for (const auto& batch : SamplePeriod(generator, period, 3, gen_rng)) {
       for (size_t i = 1; i < batch.size(); ++i) {
         same += batch[i] == batch[i - 1] ? 1 : 0;
         ++pairs;

@@ -6,16 +6,20 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/gen_checkpoint.h"
 #include "src/core/workload_model.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/trace/trace_sink.h"
 #include "src/util/cancel.h"
+#include "src/util/check.h"
 #include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -362,6 +366,154 @@ TEST_F(GenResumeTest, KillBetweenSealAndManifestIsAbsorbedOnResume) {
       RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
   EXPECT_FALSE(report.interrupted);
   EXPECT_EQ(report.traces, kCount);
+  EXPECT_EQ(ConcatOrDie(dir), expected);
+}
+
+// One streaming run of `model` into `dir` (256-byte segments, checkpoint at
+// every seal); a pre-cancelled `cancel` stops it at the first period with a
+// checkpoint holding the start-of-trace state blob.
+Status StreamOnce(const WorkloadModel& model, const std::string& dir, bool resume,
+                  const CancelToken* cancel) {
+  WorkloadModel::GenerateOptions options;
+  options.from_period = 0;
+  options.to_period = 36;
+  options.cancel = cancel;
+  SegmentedFileSink::Options sink_options;
+  sink_options.dir = dir;
+  sink_options.segment_bytes = 256;
+  sink_options.resume = resume;
+  SegmentedFileSink sink(sink_options);
+  EXPECT_TRUE(sink.Init().ok());
+  WorkloadModel::GenerateRun run;
+  run.sink = &sink;
+  run.checkpoint_path = dir + "/gen.ckpt";
+  run.resume = resume;
+  run.config_fingerprint = kSeed;
+  WorkloadModel::GenerateReport report;
+  Rng rng(kSeed);
+  return model.GenerateStreaming(options, rng, run, &report);
+}
+
+// The fixture's training data with a narrower network (hidden 16, not 24).
+const WorkloadModel& Hidden16Model() {
+  static const WorkloadModel* model = [] {
+    const Trace full = SyntheticCloud(TinyProfile(), 505).Generate();
+    const Trace train =
+        ApplyObservationWindow(full, 0, 2 * kPeriodsPerDay, 2 * kPeriodsPerDay);
+    WorkloadModelConfig config = TinyConfig();
+    config.flavor.hidden_dim = 16;
+    config.flavor.epochs = 2;
+    config.lifetime.hidden_dim = 16;
+    config.lifetime.epochs = 2;
+    auto* m = new WorkloadModel();
+    Rng rng(16);
+    CG_CHECK(m->Train(train, config, rng).ok());
+    return m;
+  }();
+  return *model;
+}
+
+// Writes a pre-cancelled streaming checkpoint of `writer` into `dir`, lets
+// `edit` rewrite its state blob, and resumes with `reader`.
+template <typename Edit>
+Status ResumeEditedCheckpoint(const WorkloadModel& writer, const WorkloadModel& reader,
+                              const std::string& dir, const Edit& edit) {
+  CancelToken cancel;
+  cancel.RequestCancel();
+  EXPECT_TRUE(StreamOnce(writer, dir, /*resume=*/false, &cancel).ok());
+  GenCursor cursor;
+  EXPECT_TRUE(LoadGenCheckpoint(dir + "/gen.ckpt", &cursor).ok());
+  edit(&cursor.state_blob);
+  EXPECT_TRUE(SaveGenCheckpoint(dir + "/gen.ckpt", cursor).ok());
+  return StreamOnce(reader, dir, /*resume=*/true, /*cancel=*/nullptr);
+}
+
+// Malformed or mismatched streaming state blobs fail the resume with a
+// Status — never an abort, never a silently different trace.
+TEST_F(GenResumeTest, MalformedStreamingStateFailsResumeWithStatus) {
+  const WorkloadModel& model = *model_;
+  // Blob layout for the fixture model (one 24-wide layer per network):
+  // doh_day, next_user, flavor (previous token, layer count, h, c),
+  // lifetime (valid, censored, previous bin, layer count, h, c), Rng.
+  constexpr size_t kMatrix = 2 * sizeof(uint64_t) + 24 * sizeof(float);
+  constexpr size_t kFlavorToken = sizeof(int32_t) + sizeof(int64_t);
+  constexpr size_t kFlavorLayers = kFlavorToken + sizeof(uint64_t);
+  constexpr size_t kLifetimeBin =
+      kFlavorLayers + sizeof(uint64_t) + 2 * kMatrix + 2 * sizeof(uint8_t);
+  const auto put_u64 = [](std::string* blob, size_t at, uint64_t value) {
+    ASSERT_LE(at + sizeof(value), blob->size());
+    std::memcpy(blob->data() + at, &value, sizeof(value));
+  };
+  const struct {
+    const char* what;
+    std::function<void(std::string*)> edit;
+    StatusCode code;
+  } cases[] = {
+      {"cut by 20 bytes (inside the Rng tail)",
+       [](std::string* b) { b->resize(b->size() - 20); }, StatusCode::kDataLoss},
+      {"cut by 100 bytes (inside the lifetime LSTM state)",
+       [](std::string* b) { b->resize(b->size() - 100); }, StatusCode::kDataLoss},
+      {"trailing byte", [](std::string* b) { b->push_back('x'); }, StatusCode::kDataLoss},
+      {"empty", [](std::string* b) { b->clear(); }, StatusCode::kDataLoss},
+      {"DOH day out of range",
+       [](std::string* b) {
+         const int32_t doh = 1000;
+         std::memcpy(b->data(), &doh, sizeof(doh));
+       },
+       StatusCode::kFailedPrecondition},
+      {"previous flavor token out of range",
+       [&](std::string* b) { put_u64(b, kFlavorToken, 1000); },
+       StatusCode::kFailedPrecondition},
+      {"flavor LSTM layer count",
+       [&](std::string* b) { put_u64(b, kFlavorLayers, 2); },
+       StatusCode::kFailedPrecondition},
+      {"flavor LSTM matrix header (hostile size)",
+       [&](std::string* b) { put_u64(b, kFlavorLayers + sizeof(uint64_t), uint64_t{1} << 40); },
+       StatusCode::kFailedPrecondition},
+      {"previous lifetime bin out of range",
+       [&](std::string* b) { put_u64(b, kLifetimeBin, 1000); },
+       StatusCode::kFailedPrecondition},
+  };
+  for (const auto& c : cases) {
+    const std::string dir = Dir(std::string("bad_blob_") + std::to_string(&c - cases));
+    const Status status = ResumeEditedCheckpoint(model, model, dir, c.edit);
+    EXPECT_EQ(status.code(), c.code) << c.what << ": " << status.ToString();
+  }
+}
+
+TEST_F(GenResumeTest, StreamingCheckpointOfAnotherWidthIsRejected) {
+  const auto keep = [](std::string*) {};
+  const Status narrower =
+      ResumeEditedCheckpoint(*model_, Hidden16Model(), Dir("hidden24_on_16"), keep);
+  EXPECT_EQ(narrower.code(), StatusCode::kFailedPrecondition) << narrower.ToString();
+  const Status wider =
+      ResumeEditedCheckpoint(Hidden16Model(), *model_, Dir("hidden16_on_24"), keep);
+  EXPECT_EQ(wider.code(), StatusCode::kFailedPrecondition) << wider.ToString();
+}
+
+// A rejected resume leaves the output directory resumable: restoring the
+// healthy checkpoint completes the exact uninterrupted byte string.
+TEST_F(GenResumeTest, HealthyStreamingCheckpointResumesAfterRejectedOne) {
+  Rng rng_oracle(kSeed);
+  const Trace oracle = model_->Generate(Options(), rng_oracle);
+  std::string expected;
+  for (const Job& job : oracle.Jobs()) {
+    AppendJobRow(0, job, &expected);
+  }
+
+  const std::string dir = Dir("healthy_after_bad");
+  std::string healthy;
+  const Status rejected =
+      ResumeEditedCheckpoint(*model_, *model_, dir, [&healthy](std::string* b) {
+        healthy = *b;
+        b->resize(b->size() - 20);
+      });
+  EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << rejected.ToString();
+  GenCursor cursor;
+  ASSERT_TRUE(LoadGenCheckpoint(dir + "/gen.ckpt", &cursor).ok());
+  cursor.state_blob = healthy;
+  ASSERT_TRUE(SaveGenCheckpoint(dir + "/gen.ckpt", cursor).ok());
+  ASSERT_TRUE(StreamOnce(*model_, dir, /*resume=*/true, /*cancel=*/nullptr).ok());
   EXPECT_EQ(ConcatOrDie(dir), expected);
 }
 
