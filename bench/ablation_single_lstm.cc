@@ -35,7 +35,12 @@ void Run() {
   config.lr_decay = 0.93f;
   SingleLstmModel single;
   Rng train_rng(31337);
-  single.Train(train, workbench.Model().HistoryDays(), config, train_rng);
+  const Status trained =
+      single.Train(train, workbench.Model().HistoryDays(), config, train_rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "single-LSTM training failed: %s\n", trained.ToString().c_str());
+    return;
+  }
 
   const int64_t from = workbench.TestStart();
   const int64_t to = from + kPeriodsPerDay;  // One generated day per sample.

@@ -1,38 +1,10 @@
 #include "src/core/checkpoint.h"
 
-#include <cmath>
 #include <limits>
-#include <sstream>
 
-#include "src/obs/metrics.h"
 #include "src/util/fault.h"
-#include "src/util/log.h"
-#include "src/util/strings.h"
 
 namespace cloudgen {
-namespace {
-
-// Training-resilience telemetry (docs/OBSERVABILITY.md).
-obs::Counter& RollbackCounter() {
-  static obs::Counter& counter = obs::Registry::Global().GetCounter("train.rollbacks");
-  return counter;
-}
-obs::Counter& ResumeCounter() {
-  static obs::Counter& counter = obs::Registry::Global().GetCounter("train.resumes");
-  return counter;
-}
-obs::Counter& CheckpointWriteCounter() {
-  static obs::Counter& counter =
-      obs::Registry::Global().GetCounter("train.checkpoint_writes");
-  return counter;
-}
-obs::Counter& CheckpointWriteFailureCounter() {
-  static obs::Counter& counter =
-      obs::Registry::Global().GetCounter("train.checkpoint_write_failures");
-  return counter;
-}
-
-}  // namespace
 
 Status TrainCheckpoint::Write(const std::string& path, uint32_t stage_tag,
                               uint64_t next_epoch, const std::string& payload) {
@@ -42,135 +14,6 @@ Status TrainCheckpoint::Write(const std::string& path, uint32_t stage_tag,
 Status TrainCheckpoint::Read(const std::string& path, uint32_t stage_tag,
                              uint64_t* next_epoch, std::string* payload) {
   return ReadSealedFile(path, stage_tag, next_epoch, payload);
-}
-
-ResilientTrainLoop::ResilientTrainLoop(uint32_t stage_tag,
-                                       const TrainRecoveryConfig& config,
-                                       float initial_lr, float lr_decay,
-                                       SequenceNetwork* network, Adam* optimizer,
-                                       Rng* rng)
-    : stage_tag_(stage_tag),
-      config_(config),
-      lr_(initial_lr),
-      lr_decay_(lr_decay),
-      network_(network),
-      optimizer_(optimizer),
-      rng_(rng) {
-  CG_CHECK(network_ != nullptr && optimizer_ != nullptr && rng_ != nullptr);
-  CG_CHECK(config_.lr_backoff > 0.0f && config_.lr_backoff < 1.0f);
-}
-
-std::string ResilientTrainLoop::Serialize() const {
-  std::ostringstream out(std::ios::binary);
-  out.write(reinterpret_cast<const char*>(&lr_), sizeof(lr_));
-  const int32_t rollbacks = rollbacks_;
-  out.write(reinterpret_cast<const char*>(&rollbacks), sizeof(rollbacks));
-  network_->Save(out);
-  optimizer_->SaveState(out);
-  rng_->SaveState(out);
-  return std::move(out).str();
-}
-
-void ResilientTrainLoop::Restore(const std::string& payload, bool restore_rollbacks) {
-  std::istringstream in(payload, std::ios::binary);
-  in.read(reinterpret_cast<char*>(&lr_), sizeof(lr_));
-  int32_t rollbacks = 0;
-  in.read(reinterpret_cast<char*>(&rollbacks), sizeof(rollbacks));
-  if (restore_rollbacks) {
-    rollbacks_ = rollbacks;
-  }
-  network_->Load(in);
-  optimizer_->LoadState(in);
-  rng_->LoadState(in);
-  CG_CHECK_MSG(static_cast<bool>(in), "corrupt training snapshot");
-}
-
-size_t ResilientTrainLoop::Begin() {
-  if (config_.resume && !config_.checkpoint_path.empty()) {
-    uint64_t next_epoch = 0;
-    std::string payload;
-    const Status status =
-        TrainCheckpoint::Read(config_.checkpoint_path, stage_tag_, &next_epoch, &payload);
-    if (status.ok()) {
-      Restore(payload, /*restore_rollbacks=*/true);
-      last_good_ = payload;
-      ResumeCounter().Add(1);
-      if (rollbacks_ > 0) {
-        // Surface the watchdog history of the interrupted run; previously a
-        // resume restarted the visible count at zero.
-        CG_LOGF_WARN("resumed run had already rolled back %d time(s) (max %d)",
-                     rollbacks_, config_.max_rollbacks);
-      }
-      CG_LOGF_INFO("resuming from %s at epoch %llu (lr=%.2e, rollbacks=%d)",
-                   config_.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(next_epoch),
-                   static_cast<double>(lr_), rollbacks_);
-      return static_cast<size_t>(next_epoch);
-    }
-    if (status.code() == StatusCode::kNotFound) {
-      CG_LOG_INFO("no checkpoint to resume from; starting fresh (" +
-                  config_.checkpoint_path + ")");
-    } else {
-      CG_LOG_WARN("ignoring unusable checkpoint: " + status.ToString());
-    }
-  }
-  last_good_ = Serialize();
-  return 0;
-}
-
-ResilientTrainLoop::Verdict ResilientTrainLoop::FinishEpoch(size_t epoch,
-                                                            size_t total_epochs,
-                                                            double loss, bool diverged) {
-  const bool exploded =
-      have_best_ && loss > config_.divergence_factor * (best_loss_ + 1.0);
-  if (diverged || !std::isfinite(loss) || exploded) {
-    ++rollbacks_;
-    RollbackCounter().Add(1);
-    if (rollbacks_ > config_.max_rollbacks) {
-      status_ = AbortedError(StrFormat(
-          "training diverged %d times (last epoch %zu, loss %g); giving up",
-          rollbacks_, epoch, loss));
-      return Verdict::kFailed;
-    }
-    Restore(last_good_, /*restore_rollbacks=*/false);
-    const float backed_off = lr_ * config_.lr_backoff;
-    CG_LOGF_WARN(
-        "divergence watchdog: epoch %zu %s (loss %g); rolled back, lr %.2e -> %.2e "
-        "(rollback %d/%d)",
-        epoch, diverged ? "hit NaN/Inf" : "exploded", loss, static_cast<double>(lr_),
-        static_cast<double>(backed_off), rollbacks_, config_.max_rollbacks);
-    lr_ = backed_off;
-    return Verdict::kRetryEpoch;
-  }
-
-  if (!have_best_ || loss < best_loss_) {
-    best_loss_ = loss;
-    have_best_ = true;
-  }
-  // Post-epoch LR decay, applied before the snapshot so resume picks up the
-  // rate the next epoch would have used.
-  lr_ *= lr_decay_;
-  last_good_ = Serialize();
-  if (!config_.checkpoint_path.empty()) {
-    const Status status = TrainCheckpoint::Write(config_.checkpoint_path, stage_tag_,
-                                                 epoch + 1, last_good_);
-    if (status.ok()) {
-      CheckpointWriteCounter().Add(1);
-    } else {
-      // Best-effort: a failed checkpoint write (e.g. injected io_write fault)
-      // must not kill training, and the atomic write left any previous
-      // checkpoint intact.
-      CheckpointWriteFailureCounter().Add(1);
-      CG_LOG_WARN("checkpoint write failed: " + status.ToString());
-    }
-  }
-  if (config_.stop_after_epoch > 0 && epoch + 1 >= config_.stop_after_epoch &&
-      epoch + 1 < total_epochs) {
-    CG_LOGF_WARN("stop_after_epoch: halting after epoch %zu of %zu", epoch + 1,
-                 total_epochs);
-    return Verdict::kStop;
-  }
-  return Verdict::kNextEpoch;
 }
 
 bool MaybeInjectGradientFault(SequenceNetwork* network) {

@@ -1,21 +1,25 @@
 // Training resilience: per-epoch checkpointing and the divergence watchdog.
 //
-// Both LSTM trainers drive their epoch loop through ResilientTrainLoop, which
-// owns three concerns:
+// The training driver (TrainSequenceNetwork, src/core/trainer.h) runs the
+// epoch loop of every sequence-network trainer — flavor, lifetime and the
+// single-LSTM ablation — and owns three concerns configured here:
 //
 //  1. Checkpointing. After every completed epoch the full training state —
-//     network weights, Adam moments + step count, RNG stream, and current
-//     learning rate — is serialized. With a checkpoint path configured it is
-//     also written to disk (atomic temp+rename, CRC-validated header), so a
-//     SIGKILL at any instant leaves either the previous or the new checkpoint
-//     intact, never a torn file. Resuming restores the exact state, making an
-//     interrupted-then-resumed run bitwise identical to an uninterrupted one.
+//     current learning rate, cumulative rollback count, network weights,
+//     Adam moments + step count, and RNG stream — is serialized. With a
+//     checkpoint path configured it is also written to disk (atomic
+//     temp+rename, CRC-validated header), so a SIGKILL at any instant leaves
+//     either the previous or the new checkpoint intact, never a torn file.
+//     Resuming restores the exact state, making an interrupted-then-resumed
+//     run bitwise identical to an uninterrupted one. A checkpoint written for
+//     another network shape (widths, layer count, dense vs factored head) is
+//     refused with FAILED_PRECONDITION before anything is loaded.
 //
 //  2. Divergence watchdog. An epoch that produces a NaN/Inf loss, a
 //     non-finite gradient norm, or an exploding loss is rolled back: the last
 //     good state is restored, the learning rate is multiplied by
 //     `lr_backoff`, and the epoch is rerun. After `max_rollbacks` failed
-//     attempts the loop gives up with an ABORTED status.
+//     attempts the trainer gives up with an ABORTED status.
 //
 //  3. Fault hooks. MaybeInjectGradientFault plants a NaN in the gradients
 //     when CLOUDGEN_FAULT arms nan_grad, exercising path 2 deterministically.
@@ -28,25 +32,24 @@
 #include <cstdint>
 #include <string>
 
-#include "src/nn/adam.h"
 #include "src/nn/sequence_network.h"
-#include "src/util/rng.h"
 #include "src/util/sealed_file.h"
 #include "src/util/status.h"
 
 namespace cloudgen {
 
-// Stage tags keep a flavor checkpoint from being resumed into the lifetime
-// trainer (and vice versa).
+// Stage tags keep one trainer's checkpoint from being resumed into another.
 inline constexpr uint32_t kCheckpointStageFlavor = kSealFlavorCheckpoint;
 inline constexpr uint32_t kCheckpointStageLifetime = kSealLifetimeCheckpoint;
+inline constexpr uint32_t kCheckpointStageSingleLstm = kSealSingleLstmCheckpoint;
 
 struct TrainRecoveryConfig {
   // Checkpoint file path; empty keeps snapshots in memory only (the watchdog
   // still works, but a crash loses progress).
   std::string checkpoint_path;
   // Resume from `checkpoint_path` if it holds a valid checkpoint; a missing
-  // file starts from scratch, a corrupt one is reported and ignored.
+  // file starts from scratch, a corrupt one is reported and ignored, and one
+  // written for another network shape fails training untouched.
   bool resume = false;
   // Learning-rate multiplier applied on every watchdog rollback.
   float lr_backoff = 0.5f;
@@ -67,59 +70,6 @@ struct TrainCheckpoint {
                       const std::string& payload);
   static Status Read(const std::string& path, uint32_t stage_tag, uint64_t* next_epoch,
                      std::string* payload);
-};
-
-class ResilientTrainLoop {
- public:
-  // The network, optimizer, and rng must outlive the loop; they are the state
-  // that is snapshotted and restored. `initial_lr`/`lr_decay` mirror the
-  // trainer's schedule so rollback and resume agree with it exactly.
-  ResilientTrainLoop(uint32_t stage_tag, const TrainRecoveryConfig& config,
-                     float initial_lr, float lr_decay, SequenceNetwork* network,
-                     Adam* optimizer, Rng* rng);
-
-  // Restores the checkpoint when resuming (or snapshots the initial state)
-  // and returns the first epoch index to run.
-  size_t Begin();
-
-  // Learning rate the optimizer should use for the upcoming epoch.
-  float LearningRate() const { return lr_; }
-
-  enum class Verdict {
-    kNextEpoch,   // Epoch accepted; advance.
-    kRetryEpoch,  // Diverged; state rolled back, LR backed off — rerun.
-    kStop,        // stop_after_epoch reached; return success.
-    kFailed,      // Watchdog exhausted max_rollbacks; see status().
-  };
-
-  // Reports the finished epoch. `diverged` marks mid-epoch NaN/Inf detection
-  // (non-finite minibatch loss or gradient norm).
-  Verdict FinishEpoch(size_t epoch, size_t total_epochs, double loss, bool diverged);
-
-  // Non-OK after kFailed.
-  const Status& status() const { return status_; }
-  int Rollbacks() const { return rollbacks_; }
-
- private:
-  // The payload carries the cumulative rollback count alongside the training
-  // state, so a resumed run keeps (and reports) the watchdog history instead
-  // of silently restarting it at zero. A watchdog rollback restores the
-  // state but keeps the live rollback counter (restore_rollbacks=false).
-  std::string Serialize() const;
-  void Restore(const std::string& payload, bool restore_rollbacks);
-
-  uint32_t stage_tag_;
-  TrainRecoveryConfig config_;
-  float lr_;
-  float lr_decay_;
-  SequenceNetwork* network_;
-  Adam* optimizer_;
-  Rng* rng_;
-  std::string last_good_;
-  double best_loss_ = 0.0;
-  bool have_best_ = false;
-  int rollbacks_ = 0;
-  Status status_;
 };
 
 // Plants a NaN in the first gradient when the nan_grad fault fires. Call

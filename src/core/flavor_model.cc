@@ -11,14 +11,12 @@
 #include "src/nn/activations.h"
 #include "src/nn/losses.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_span.h"
 #include "src/util/check.h"
 #include "src/util/fault.h"
 #include "src/util/log.h"
 #include "src/util/rng.h"
 #include "src/util/sealed_file.h"
 #include "src/util/strings.h"
-#include "src/util/timer.h"
 
 namespace cloudgen {
 
@@ -109,6 +107,48 @@ const FlavorVocab& FlavorLstmModel::Vocab() const {
   return encoder_->Vocab();
 }
 
+Status TrainTokenNetwork(const FlavorStream& stream, const FlavorInputEncoder& encoder,
+                         const FlavorModelConfig& config, const TrainerIdentity& trainer,
+                         SequenceNetwork* network, Rng& rng) {
+  const size_t start_token = encoder.Vocab().EobToken();
+  std::vector<std::vector<int32_t>> targets;
+  const auto fill = [&](const SequenceBatching& batching, size_t mb,
+                        std::vector<Matrix>* inputs) {
+    targets.resize(batching.SeqLen());
+    for (size_t t = 0; t < batching.SeqLen(); ++t) {
+      targets[t].assign(batching.BatchSize(), kIgnoreTarget);
+      for (size_t b = 0; b < batching.BatchSize(); ++b) {
+        const size_t step = batching.StepIndex(mb, t, b);
+        const size_t prev =
+            step == 0 ? start_token : static_cast<size_t>(stream.tokens[step - 1]);
+        encoder.EncodeInto(prev, stream.periods[step], stream.doh_days[step],
+                           (*inputs)[t].Row(b));
+        targets[t][b] = stream.tokens[step];
+      }
+    }
+  };
+  // Runs concurrently across shards but only writes shard-local buffers.
+  const auto shard_loss = [&](size_t r0, size_t r1, const std::vector<Matrix>& logits,
+                              std::vector<Matrix>* dlogits) {
+    double sum = 0.0;
+    std::vector<int32_t> shard_targets;
+    for (size_t t = 0; t < logits.size(); ++t) {
+      shard_targets.assign(targets[t].begin() + static_cast<ptrdiff_t>(r0),
+                           targets[t].begin() + static_cast<ptrdiff_t>(r1));
+      const double mean =
+          network->IsFactored()
+              ? FactoredSoftmaxCrossEntropy(logits[t], shard_targets,
+                                            network->FactoredHead().Map(), &(*dlogits)[t])
+              : SoftmaxCrossEntropy(logits[t], shard_targets, &(*dlogits)[t]);
+      AddShardShare(mean, CountTargets(targets[t], r0, r1), logits.size(), &(*dlogits)[t],
+                    &sum);
+    }
+    return sum;
+  };
+  return TrainSequenceNetwork(trainer, SequenceTrainConfig::Of(config), stream.tokens.size(),
+                              fill, shard_loss, network, rng);
+}
+
 Status FlavorLstmModel::Train(const Trace& train, int history_days,
                               const FlavorModelConfig& config, Rng& rng) {
   config_ = config;
@@ -126,133 +166,9 @@ Status FlavorLstmModel::Train(const Trace& train, int history_days,
   if (stream.tokens.empty()) {
     return InvalidArgumentError("flavor training stream is empty");
   }
-
-  AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  adam_config.weight_decay = config.weight_decay;
-  adam_config.clip_norm = config.clip_norm;
-  Adam optimizer(network_.Params(), network_.Grads(), adam_config);
-
-  const SequenceBatching batching(stream.tokens.size(),
-                                  {config.seq_len, config.batch_size});
-  const size_t eob = encoder_->Vocab().EobToken();
-  const size_t dim = encoder_->Dim();
-
-  std::vector<Matrix> inputs(batching.SeqLen());
-  std::vector<std::vector<int32_t>> targets(batching.SeqLen());
-  DataParallelBptt bptt(&network_, batching.BatchSize());
-  const auto shard_loss = [&](size_t r0, size_t r1, const std::vector<Matrix>& logits,
-                              std::vector<Matrix>* dlogits) {
-    // The loss normalizes by its own (shard-local) counted-row total, so each
-    // step is rescaled by counted_shard/counted_all to land on the exact
-    // full-minibatch normalization serial training uses. The callback runs
-    // concurrently across shards but only touches shard-local buffers.
-    const float inv_steps = 1.0f / static_cast<float>(batching.SeqLen());
-    double sum = 0.0;
-    std::vector<int32_t> shard_targets;
-    for (size_t t = 0; t < batching.SeqLen(); ++t) {
-      size_t counted_all = 0;
-      size_t counted_shard = 0;
-      for (size_t b = 0; b < batching.BatchSize(); ++b) {
-        if (targets[t][b] == kIgnoreTarget) {
-          continue;
-        }
-        ++counted_all;
-        counted_shard += static_cast<size_t>(b >= r0 && b < r1);
-      }
-      shard_targets.assign(targets[t].begin() + static_cast<ptrdiff_t>(r0),
-                           targets[t].begin() + static_cast<ptrdiff_t>(r1));
-      const double mean =
-          network_.IsFactored()
-              ? FactoredSoftmaxCrossEntropy(logits[t], shard_targets,
-                                            network_.FactoredHead().Map(),
-                                            &(*dlogits)[t])
-              : SoftmaxCrossEntropy(logits[t], shard_targets, &(*dlogits)[t]);
-      const float f = counted_all == 0
-                          ? 0.0f
-                          : static_cast<float>(counted_shard) /
-                                static_cast<float>(counted_all) * inv_steps;
-      (*dlogits)[t].Scale(f);
-      sum += mean * static_cast<double>(f);
-    }
-    return sum;
-  };
-
-  ResilientTrainLoop loop(kCheckpointStageFlavor, config.recovery, config.learning_rate,
-                          config.lr_decay, &network_, &optimizer, &rng);
-  // Per-epoch telemetry (observe-only: never feeds back into training).
-  obs::Registry& registry = obs::Registry::Global();
-  obs::Series& loss_series = registry.GetSeries("train.flavor.loss");
-  obs::Series& grad_series = registry.GetSeries("train.flavor.grad_norm");
-  obs::Series& lr_series = registry.GetSeries("train.flavor.lr");
-  obs::Series& rate_series = registry.GetSeries("train.flavor.rows_per_sec");
-  obs::Counter& minibatch_counter = registry.GetCounter("train.flavor.minibatches");
-  obs::Histogram& epoch_hist = registry.GetHistogram("time.train_epoch_ms");
-
-  CG_SPAN("train.flavor");
-  Timer timer;
-  size_t epoch = loop.Begin();
-  while (epoch < config.epochs) {
-    CG_SPAN("train.flavor_epoch");
-    ScopedTimer epoch_timer(&epoch_hist);
-    optimizer.SetLearningRate(loop.LearningRate());
-    double epoch_loss = 0.0;
-    size_t epoch_minibatches = 0;
-    bool diverged = false;
-    for (size_t mb : batching.EpochOrder(rng)) {
-      // Assemble the minibatch.
-      for (size_t t = 0; t < batching.SeqLen(); ++t) {
-        inputs[t].Resize(batching.BatchSize(), dim);
-        targets[t].assign(batching.BatchSize(), kIgnoreTarget);
-        for (size_t b = 0; b < batching.BatchSize(); ++b) {
-          const size_t step = batching.StepIndex(mb, t, b);
-          const size_t prev = step == 0 ? eob : static_cast<size_t>(stream.tokens[step - 1]);
-          encoder_->EncodeInto(prev, stream.periods[step], stream.doh_days[step],
-                               inputs[t].Row(b));
-          targets[t][b] = stream.tokens[step];
-        }
-      }
-      const double loss = bptt.Run(inputs, shard_loss);
-      MaybeInjectGradientFault(&network_);
-      optimizer.Step();
-      if (!std::isfinite(loss) || !std::isfinite(optimizer.LastGradNorm())) {
-        // The update that just happened is contaminated; bail out of the
-        // epoch so the watchdog can roll the whole state back.
-        diverged = true;
-        break;
-      }
-      epoch_loss += loss;
-      ++epoch_minibatches;
-      minibatch_counter.Add(1);
-    }
-    const double mean_loss = epoch_loss / std::max<size_t>(1, epoch_minibatches);
-    const float epoch_lr = loop.LearningRate();
-    switch (loop.FinishEpoch(epoch, config.epochs, mean_loss, diverged)) {
-      case ResilientTrainLoop::Verdict::kRetryEpoch:
-        continue;
-      case ResilientTrainLoop::Verdict::kStop:
-        network_.Prepack();
-        return OkStatus();
-      case ResilientTrainLoop::Verdict::kFailed:
-        return loop.status().WithContext("flavor LSTM training");
-      case ResilientTrainLoop::Verdict::kNextEpoch:
-        break;
-    }
-    const double epoch_seconds = epoch_timer.ElapsedSeconds();
-    const double rows =
-        static_cast<double>(epoch_minibatches * batching.BatchSize() * batching.SeqLen());
-    loss_series.Append(static_cast<double>(epoch), mean_loss);
-    grad_series.Append(static_cast<double>(epoch), optimizer.LastGradNorm());
-    lr_series.Append(static_cast<double>(epoch), static_cast<double>(epoch_lr));
-    rate_series.Append(static_cast<double>(epoch),
-                       epoch_seconds > 0.0 ? rows / epoch_seconds : 0.0);
-    CG_LOGF_INFO("flavor LSTM epoch %zu/%zu: loss=%.4f (%.1fs elapsed)", epoch + 1,
-                 config.epochs, mean_loss, timer.ElapsedSeconds());
-    ++epoch;
-  }
-  // Parameters are final: build the packed inference weights once.
-  network_.Prepack();
-  return OkStatus();
+  constexpr TrainerIdentity kTrainer{"train.flavor", "train.flavor_epoch", "flavor LSTM",
+                                     kCheckpointStageFlavor};
+  return TrainTokenNetwork(stream, *encoder_, config, kTrainer, &network_, rng);
 }
 
 FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {

@@ -19,7 +19,7 @@
 #include "src/core/checkpoint.h"
 #include "src/core/encoding.h"
 #include "src/core/gen_guard.h"
-#include "src/nn/adam.h"
+#include "src/core/trainer.h"
 #include "src/nn/sequence_network.h"
 #include "src/trace/trace.h"
 #include "src/util/status.h"
@@ -59,6 +59,14 @@ struct FlavorStream {
   // In-window DOH day of each step.
   std::vector<int32_t> doh_days;
 };
+
+// The flavor trainer's recipe: next-token NLL over `stream`, each step's
+// input encoding the previous token (the vocabulary's EOB token before the
+// first step) and the step's temporal features. The single-LSTM ablation
+// runs it on its EOP stream, whose vocabulary's EOB slot is the EOP token.
+Status TrainTokenNetwork(const FlavorStream& stream, const FlavorInputEncoder& encoder,
+                         const FlavorModelConfig& config, const TrainerIdentity& trainer,
+                         SequenceNetwork* network, Rng& rng);
 
 // Safety cap on jobs sampled per period: bounds runaway token sequences.
 inline constexpr size_t kGenMaxJobsPerPeriod = 20000;

@@ -9,18 +9,14 @@
 #include "src/core/gen_checkpoint.h"
 #include "src/core/trainer.h"
 #include "src/nn/activations.h"
-#include "src/nn/adam.h"
 #include "src/nn/losses.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_span.h"
 #include "src/survival/hazard.h"
 #include "src/util/check.h"
 #include "src/util/fault.h"
-#include "src/util/log.h"
 #include "src/util/rng.h"
 #include "src/util/sealed_file.h"
 #include "src/util/strings.h"
-#include "src/util/timer.h"
 
 namespace cloudgen {
 namespace {
@@ -139,52 +135,61 @@ Status LifetimeLstmModel::Train(const Trace& train, const LifetimeBinning& binni
     return InvalidArgumentError("lifetime training stream is empty");
   }
 
-  AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  adam_config.weight_decay = config.weight_decay;
-  adam_config.clip_norm = config.clip_norm;
-  Adam optimizer(network_.Params(), network_.Grads(), adam_config);
-
-  const SequenceBatching batching(stream.steps.size(), {config.seq_len, config.batch_size});
-  const size_t dim = encoder_->Dim();
   const size_t bins = binning.NumBins();
-
-  std::vector<Matrix> inputs(batching.SeqLen());
-  std::vector<Matrix> targets(batching.SeqLen());
-  std::vector<Matrix> masks(batching.SeqLen());
-  std::vector<std::vector<int32_t>> bin_targets(
-      batching.SeqLen(), std::vector<int32_t>(batching.BatchSize()));
-  std::vector<std::vector<uint8_t>> censored_flags(
-      batching.SeqLen(), std::vector<uint8_t>(batching.BatchSize()));
-  DataParallelBptt bptt(&network_, batching.BatchSize());
+  const bool hazard_head = config.head == LifetimeHead::kHazard;
+  std::vector<Matrix> targets;
+  std::vector<Matrix> masks;
+  std::vector<std::vector<int32_t>> bin_targets;
+  std::vector<std::vector<uint8_t>> censored_flags;
+  const auto fill = [&](const SequenceBatching& batching, size_t mb,
+                        std::vector<Matrix>* inputs) {
+    const size_t rows = batching.BatchSize();
+    targets.resize(batching.SeqLen());
+    masks.resize(batching.SeqLen());
+    bin_targets.resize(batching.SeqLen());
+    censored_flags.resize(batching.SeqLen());
+    for (size_t t = 0; t < batching.SeqLen(); ++t) {
+      targets[t].Resize(rows, bins);
+      masks[t].Resize(rows, bins);
+      bin_targets[t].resize(rows);
+      censored_flags[t].resize(rows);
+      for (size_t b = 0; b < rows; ++b) {
+        const size_t idx = batching.StepIndex(mb, t, b);
+        const PrevLifetime prev =
+            idx == 0 ? PrevLifetime{} : PrevFromStep(stream.steps[idx - 1]);
+        EncodeStep(stream.steps[idx], prev, (*inputs)[t].Row(b));
+        if (hazard_head) {
+          FillTargetsAndMask(stream.steps[idx].bin, stream.steps[idx].censored, bins,
+                             targets[t].Row(b), masks[t].Row(b));
+        } else {
+          bin_targets[t][b] = static_cast<int32_t>(stream.steps[idx].bin);
+          censored_flags[t][b] = stream.steps[idx].censored ? 1 : 0;
+        }
+      }
+    }
+  };
+  // The hazard head counts unmasked elements, the CE head non-ignored rows.
+  // Runs concurrently across shards but only writes shard-local buffers.
   const auto shard_loss = [&](size_t r0, size_t r1, const std::vector<Matrix>& logits,
                               std::vector<Matrix>* dlogits) {
-    // Each loss normalizes by its own (shard-local) counted total — unmasked
-    // elements for the hazard head, non-ignored rows for the CE head — so
-    // each step is rescaled by counted_shard/counted_all to land on the exact
-    // full-minibatch normalization serial training uses. The callback runs
-    // concurrently across shards but only touches shard-local buffers.
     const size_t rows = r1 - r0;
-    const float inv_steps = 1.0f / static_cast<float>(batching.SeqLen());
     double sum = 0.0;
     Matrix shard_targets;
     Matrix shard_masks;
     std::vector<int32_t> shard_bins;
     std::vector<uint8_t> shard_censored;
-    for (size_t t = 0; t < batching.SeqLen(); ++t) {
-      size_t counted_all = 0;
-      size_t counted_shard = 0;
-      double mean = 0.0;
-      if (config.head == LifetimeHead::kHazard) {
-        for (size_t b = 0; b < batching.BatchSize(); ++b) {
+    for (size_t t = 0; t < logits.size(); ++t) {
+      if (hazard_head) {
+        ShardCounts counts;
+        for (size_t b = 0; b < masks[t].Rows(); ++b) {
           const float* mask_row = masks[t].Row(b);
           size_t row_count = 0;
           for (size_t j = 0; j < bins; ++j) {
             row_count += static_cast<size_t>(mask_row[j] != 0.0f);
           }
-          counted_all += row_count;
+          counts.all += row_count;
           if (b >= r0 && b < r1) {
-            counted_shard += row_count;
+            counts.shard += row_count;
           }
         }
         shard_targets.Resize(rows, bins);
@@ -192,113 +197,26 @@ Status LifetimeLstmModel::Train(const Trace& train, const LifetimeBinning& binni
         std::copy(targets[t].Row(r0), targets[t].Row(r0) + rows * bins,
                   shard_targets.Data());
         std::copy(masks[t].Row(r0), masks[t].Row(r0) + rows * bins, shard_masks.Data());
-        mean = MaskedBceWithLogits(logits[t], shard_targets, shard_masks, &(*dlogits)[t]);
+        const double mean =
+            MaskedBceWithLogits(logits[t], shard_targets, shard_masks, &(*dlogits)[t]);
+        AddShardShare(mean, counts, logits.size(), &(*dlogits)[t], &sum);
       } else {
-        for (size_t b = 0; b < batching.BatchSize(); ++b) {
-          if (bin_targets[t][b] == kIgnoreTarget) {
-            continue;
-          }
-          ++counted_all;
-          counted_shard += static_cast<size_t>(b >= r0 && b < r1);
-        }
         shard_bins.assign(bin_targets[t].begin() + static_cast<ptrdiff_t>(r0),
                           bin_targets[t].begin() + static_cast<ptrdiff_t>(r1));
         shard_censored.assign(censored_flags[t].begin() + static_cast<ptrdiff_t>(r0),
                               censored_flags[t].begin() + static_cast<ptrdiff_t>(r1));
-        mean = CensoredSoftmaxCrossEntropy(logits[t], shard_bins, shard_censored,
-                                           &(*dlogits)[t]);
+        const double mean = CensoredSoftmaxCrossEntropy(logits[t], shard_bins,
+                                                        shard_censored, &(*dlogits)[t]);
+        AddShardShare(mean, CountTargets(bin_targets[t], r0, r1), logits.size(),
+                      &(*dlogits)[t], &sum);
       }
-      const float f = counted_all == 0
-                          ? 0.0f
-                          : static_cast<float>(counted_shard) /
-                                static_cast<float>(counted_all) * inv_steps;
-      (*dlogits)[t].Scale(f);
-      sum += mean * static_cast<double>(f);
     }
     return sum;
   };
-
-  ResilientTrainLoop loop(kCheckpointStageLifetime, config.recovery, config.learning_rate,
-                          config.lr_decay, &network_, &optimizer, &rng);
-  // Per-epoch telemetry (observe-only: never feeds back into training).
-  obs::Registry& registry = obs::Registry::Global();
-  obs::Series& loss_series = registry.GetSeries("train.lifetime.loss");
-  obs::Series& grad_series = registry.GetSeries("train.lifetime.grad_norm");
-  obs::Series& lr_series = registry.GetSeries("train.lifetime.lr");
-  obs::Series& rate_series = registry.GetSeries("train.lifetime.rows_per_sec");
-  obs::Counter& minibatch_counter = registry.GetCounter("train.lifetime.minibatches");
-  obs::Histogram& epoch_hist = registry.GetHistogram("time.train_epoch_ms");
-
-  CG_SPAN("train.lifetime");
-  Timer timer;
-  size_t epoch = loop.Begin();
-  while (epoch < config.epochs) {
-    CG_SPAN("train.lifetime_epoch");
-    ScopedTimer epoch_timer(&epoch_hist);
-    optimizer.SetLearningRate(loop.LearningRate());
-    double epoch_loss = 0.0;
-    size_t epoch_minibatches = 0;
-    bool diverged = false;
-    for (size_t mb : batching.EpochOrder(rng)) {
-      for (size_t t = 0; t < batching.SeqLen(); ++t) {
-        inputs[t].Resize(batching.BatchSize(), dim);
-        targets[t].Resize(batching.BatchSize(), bins);
-        masks[t].Resize(batching.BatchSize(), bins);
-        for (size_t b = 0; b < batching.BatchSize(); ++b) {
-          const size_t idx = batching.StepIndex(mb, t, b);
-          const PrevLifetime prev =
-              idx == 0 ? PrevLifetime{} : PrevFromStep(stream.steps[idx - 1]);
-          EncodeStep(stream.steps[idx], prev, inputs[t].Row(b));
-          if (config.head == LifetimeHead::kHazard) {
-            FillTargetsAndMask(stream.steps[idx].bin, stream.steps[idx].censored, bins,
-                               targets[t].Row(b), masks[t].Row(b));
-          } else {
-            bin_targets[t][b] = static_cast<int32_t>(stream.steps[idx].bin);
-            censored_flags[t][b] = stream.steps[idx].censored ? 1 : 0;
-          }
-        }
-      }
-      const double loss = bptt.Run(inputs, shard_loss);
-      MaybeInjectGradientFault(&network_);
-      optimizer.Step();
-      if (!std::isfinite(loss) || !std::isfinite(optimizer.LastGradNorm())) {
-        // The update that just happened is contaminated; bail out of the
-        // epoch so the watchdog can roll the whole state back.
-        diverged = true;
-        break;
-      }
-      epoch_loss += loss;
-      ++epoch_minibatches;
-      minibatch_counter.Add(1);
-    }
-    const double mean_loss = epoch_loss / std::max<size_t>(1, epoch_minibatches);
-    const float epoch_lr = loop.LearningRate();
-    switch (loop.FinishEpoch(epoch, config.epochs, mean_loss, diverged)) {
-      case ResilientTrainLoop::Verdict::kRetryEpoch:
-        continue;
-      case ResilientTrainLoop::Verdict::kStop:
-        network_.Prepack();
-        return OkStatus();
-      case ResilientTrainLoop::Verdict::kFailed:
-        return loop.status().WithContext("lifetime LSTM training");
-      case ResilientTrainLoop::Verdict::kNextEpoch:
-        break;
-    }
-    const double epoch_seconds = epoch_timer.ElapsedSeconds();
-    const double rows =
-        static_cast<double>(epoch_minibatches * batching.BatchSize() * batching.SeqLen());
-    loss_series.Append(static_cast<double>(epoch), mean_loss);
-    grad_series.Append(static_cast<double>(epoch), optimizer.LastGradNorm());
-    lr_series.Append(static_cast<double>(epoch), static_cast<double>(epoch_lr));
-    rate_series.Append(static_cast<double>(epoch),
-                       epoch_seconds > 0.0 ? rows / epoch_seconds : 0.0);
-    CG_LOGF_INFO("lifetime LSTM epoch %zu/%zu: loss=%.4f (%.1fs elapsed)", epoch + 1,
-                 config.epochs, mean_loss, timer.ElapsedSeconds());
-    ++epoch;
-  }
-  // Parameters are final: build the packed inference weights once.
-  network_.Prepack();
-  return OkStatus();
+  constexpr TrainerIdentity kTrainer{"train.lifetime", "train.lifetime_epoch",
+                                     "lifetime LSTM", kCheckpointStageLifetime};
+  return TrainSequenceNetwork(kTrainer, SequenceTrainConfig::Of(config), stream.steps.size(),
+                              fill, shard_loss, &network_, rng);
 }
 
 LifetimeLstmModel::EvalResult LifetimeLstmModel::Evaluate(const Trace& test) const {

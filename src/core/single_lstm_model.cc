@@ -7,33 +7,20 @@
 
 #include "src/core/trainer.h"
 #include "src/nn/activations.h"
-#include "src/nn/adam.h"
-#include "src/nn/losses.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_span.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/fault.h"
 #include "src/util/log.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
-#include "src/util/timer.h"
 
 namespace cloudgen {
-namespace {
 
-// Token-stream construction: period → batches (EOB-terminated) → EOP. Every
-// period of the window emits an EOP, including empty ones.
-struct TokenStream {
-  std::vector<int32_t> tokens;
-  std::vector<int64_t> periods;
-  std::vector<int32_t> doh_days;
-};
-
-TokenStream BuildEopStream(const Trace& trace, int history_days) {
+FlavorStream BuildEopStream(const Trace& trace, int history_days) {
   const auto eob = static_cast<int32_t>(trace.NumFlavors());
   const int32_t eop = eob + 1;
-  TokenStream stream;
+  FlavorStream stream;
   const std::vector<PeriodBatches> periods = BuildBatches(trace);
   const int64_t start_day = trace.WindowStart() / kPeriodsPerDay;
   for (const PeriodBatches& period : periods) {
@@ -57,12 +44,10 @@ TokenStream BuildEopStream(const Trace& trace, int history_days) {
   return stream;
 }
 
-}  // namespace
-
 size_t SingleLstmModel::EopToken() const { return num_flavors_ + 1; }
 
-void SingleLstmModel::Train(const Trace& train, int history_days,
-                            const SingleLstmConfig& config, Rng& rng) {
+Status SingleLstmModel::Train(const Trace& train, int history_days,
+                              const SingleLstmConfig& config, Rng& rng) {
   num_flavors_ = train.NumFlavors();
   // Vocabulary trick: a FlavorVocab over K+1 "flavors" gives K+2 tokens; slot
   // K is EOB and slot K+1 (the vocab's own EOB slot) is EOP.
@@ -75,94 +60,13 @@ void SingleLstmModel::Train(const Trace& train, int history_days,
   net_config.output_dim = encoder_->Vocab().NumTokens();
   network_ = SequenceNetwork(net_config, rng);
 
-  const TokenStream stream = BuildEopStream(train, history_days);
-  CG_CHECK_MSG(!stream.tokens.empty(), "empty EOP training stream");
-
-  AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  adam_config.weight_decay = config.weight_decay;
-  adam_config.clip_norm = config.clip_norm;
-  Adam optimizer(network_.Params(), network_.Grads(), adam_config);
-
-  const SequenceBatching batching(stream.tokens.size(),
-                                  {config.seq_len, config.batch_size});
-  const size_t eop = EopToken();
-  const size_t dim = encoder_->Dim();
-  std::vector<Matrix> inputs(batching.SeqLen());
-  std::vector<std::vector<int32_t>> targets(batching.SeqLen());
-  DataParallelBptt bptt(&network_, batching.BatchSize());
-  const auto shard_loss = [&](size_t r0, size_t r1, const std::vector<Matrix>& logits,
-                              std::vector<Matrix>* dlogits) {
-    // Rescale each step from the loss's shard-local mean to the exact
-    // full-minibatch normalization (counted non-ignored rows), matching
-    // serial training in real arithmetic.
-    const float inv_steps = 1.0f / static_cast<float>(batching.SeqLen());
-    double sum = 0.0;
-    std::vector<int32_t> shard_targets;
-    for (size_t t = 0; t < batching.SeqLen(); ++t) {
-      size_t counted_all = 0;
-      size_t counted_shard = 0;
-      for (size_t b = 0; b < batching.BatchSize(); ++b) {
-        if (targets[t][b] == kIgnoreTarget) {
-          continue;
-        }
-        ++counted_all;
-        counted_shard += static_cast<size_t>(b >= r0 && b < r1);
-      }
-      shard_targets.assign(targets[t].begin() + static_cast<ptrdiff_t>(r0),
-                           targets[t].begin() + static_cast<ptrdiff_t>(r1));
-      const double mean = SoftmaxCrossEntropy(logits[t], shard_targets, &(*dlogits)[t]);
-      const float f = counted_all == 0
-                          ? 0.0f
-                          : static_cast<float>(counted_shard) /
-                                static_cast<float>(counted_all) * inv_steps;
-      (*dlogits)[t].Scale(f);
-      sum += mean * static_cast<double>(f);
-    }
-    return sum;
-  };
-
-  obs::Registry& registry = obs::Registry::Global();
-  obs::Series& loss_series = registry.GetSeries("train.single_lstm.loss");
-  obs::Series& rate_series = registry.GetSeries("train.single_lstm.rows_per_sec");
-  obs::Histogram& epoch_hist = registry.GetHistogram("time.train_epoch_ms");
-
-  CG_SPAN("train.single_lstm");
-  for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    CG_SPAN("train.single_lstm_epoch");
-    ScopedTimer epoch_timer(&epoch_hist);
-    double epoch_loss = 0.0;
-    size_t count = 0;
-    for (size_t mb : batching.EpochOrder(rng)) {
-      for (size_t t = 0; t < batching.SeqLen(); ++t) {
-        inputs[t].Resize(batching.BatchSize(), dim);
-        targets[t].assign(batching.BatchSize(), kIgnoreTarget);
-        for (size_t b = 0; b < batching.BatchSize(); ++b) {
-          const size_t step = batching.StepIndex(mb, t, b);
-          const size_t prev = step == 0 ? eop : static_cast<size_t>(stream.tokens[step - 1]);
-          encoder_->EncodeInto(prev, stream.periods[step], stream.doh_days[step],
-                               inputs[t].Row(b));
-          targets[t][b] = stream.tokens[step];
-        }
-      }
-      const double loss = bptt.Run(inputs, shard_loss);
-      optimizer.Step();
-      epoch_loss += loss;
-      ++count;
-    }
-    const double mean_loss = epoch_loss / std::max<size_t>(1, count);
-    const double epoch_seconds = epoch_timer.ElapsedSeconds();
-    const double rows =
-        static_cast<double>(count * batching.BatchSize() * batching.SeqLen());
-    loss_series.Append(static_cast<double>(epoch), mean_loss);
-    rate_series.Append(static_cast<double>(epoch),
-                       epoch_seconds > 0.0 ? rows / epoch_seconds : 0.0);
-    CG_LOGF_INFO("single LSTM epoch %zu/%zu: loss=%.4f", epoch + 1, config.epochs,
-                 mean_loss);
-    optimizer.SetLearningRate(optimizer.Config().learning_rate * config.lr_decay);
+  const FlavorStream stream = BuildEopStream(train, history_days);
+  if (stream.tokens.empty()) {
+    return InvalidArgumentError("single-LSTM training stream is empty");
   }
-  // Parameters are final: build the packed inference weights once.
-  network_.Prepack();
+  constexpr TrainerIdentity kTrainer{"train.single_lstm", "train.single_lstm_epoch",
+                                     "single LSTM", kCheckpointStageSingleLstm};
+  return TrainTokenNetwork(stream, *encoder_, config, kTrainer, &network_, rng);
 }
 
 SingleLstmModel::Generator::Generator(const SingleLstmModel& model, int doh_day,

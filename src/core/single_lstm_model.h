@@ -22,21 +22,32 @@
 #include "src/core/flavor_model.h"
 #include "src/nn/sequence_network.h"
 #include "src/trace/trace.h"
+#include "src/util/status.h"
 
 namespace cloudgen {
 
 class CancelToken;
 class Rng;
 
-// Reuses the flavor-model hyperparameters.
+// Reuses the flavor-model hyperparameters; `factored_clusters` is ignored
+// (the head is always dense).
 using SingleLstmConfig = FlavorModelConfig;
+
+// The EOP token stream of a trace: period → batches (each closed by EOB) →
+// EOP, for every period of the window including empty ones. Exposed for
+// tests.
+FlavorStream BuildEopStream(const Trace& trace, int history_days);
 
 class SingleLstmModel {
  public:
   SingleLstmModel() = default;
 
-  void Train(const Trace& train, int history_days, const SingleLstmConfig& config,
-             Rng& rng);
+  // Trains with the flavor trainer's recipe on the EOP stream (from scratch,
+  // or resuming from a checkpoint when `config.recovery` says so). Fails
+  // with ABORTED when the divergence watchdog exhausts its rollback budget
+  // and with INVALID_ARGUMENT on an empty training stream.
+  Status Train(const Trace& train, int history_days, const SingleLstmConfig& config,
+               Rng& rng);
 
   bool IsTrained() const { return encoder_ != nullptr; }
   size_t EopToken() const;

@@ -26,6 +26,7 @@ namespace cloudgen {
 // mixed-up file path is always diagnosed as a tag mismatch, not data loss).
 inline constexpr uint32_t kSealFlavorCheckpoint = 1;
 inline constexpr uint32_t kSealLifetimeCheckpoint = 2;
+inline constexpr uint32_t kSealSingleLstmCheckpoint = 3;
 inline constexpr uint32_t kSealFlavorModel = 100;
 inline constexpr uint32_t kSealLifetimeModel = 101;
 // Generation pipeline artifacts (src/trace/trace_sink.h,

@@ -1,16 +1,22 @@
-// Checkpoint/resume tests: the sealed checkpoint container, stage-tag
-// mismatch protection, and the central resilience guarantee — a training run
-// stopped after a checkpoint (simulating SIGKILL) and resumed with --resume
-// produces a model file bitwise identical to an uninterrupted run.
+// Checkpoint/resume tests: the sealed checkpoint container, stage-tag and
+// model-shape mismatch protection, and the central resilience guarantee — a
+// training run stopped after a checkpoint (simulating SIGKILL) and resumed
+// with --resume produces a model bitwise identical to an uninterrupted run,
+// for every trainer.
 #include "src/core/checkpoint.h"
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/flavor_model.h"
+#include "src/core/lifetime_model.h"
+#include "src/core/single_lstm_model.h"
+#include "src/survival/binning.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -89,56 +95,180 @@ Trace TrainWindow() {
   return ApplyObservationWindow(full, 0, end, end);
 }
 
+LifetimeModelConfig TinyLifetimeConfig(LifetimeHead head) {
+  LifetimeModelConfig config;
+  config.head = head;
+  config.hidden_dim = 12;
+  config.num_layers = 1;
+  config.seq_len = 24;
+  config.batch_size = 8;
+  config.epochs = 4;
+  config.lr_decay = 0.9f;
+  return config;
+}
+
+template <typename Model>
+std::string ModelFileBytes(const Model& model) {
+  const std::string path = TempPath("resume_case.bin");
+  std::string bytes;
+  if (model.SaveToFile(path).ok()) {
+    bytes = ReadAll(path);
+  }
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// One trainer under test: trains a fresh model on `train` with `recovery`
+// and returns the bytes that pin it — its model file, or for the single LSTM
+// (which has no model file) the batches it generates over two days.
+struct ResumeCase {
+  const char* name;
+  uint32_t stage_tag;
+  std::function<Status(const Trace& train, const TrainRecoveryConfig& recovery,
+                       std::string* bytes)>
+      train;
+};
+
+std::vector<ResumeCase> ResumeCases() {
+  const auto lifetime = [](LifetimeHead head) {
+    return [head](const Trace& train, const TrainRecoveryConfig& recovery,
+                  std::string* bytes) {
+      LifetimeModelConfig config = TinyLifetimeConfig(head);
+      config.recovery = recovery;
+      LifetimeLstmModel model;
+      Rng rng(77);
+      const Status trained = model.Train(train, MakePaperBinning(), 1, config, rng);
+      if (trained.ok()) {
+        *bytes = ModelFileBytes(model);
+      }
+      return trained;
+    };
+  };
+  return {
+      {"flavor", kCheckpointStageFlavor,
+       [](const Trace& train, const TrainRecoveryConfig& recovery, std::string* bytes) {
+         FlavorModelConfig config = TinyConfig();
+         config.recovery = recovery;
+         FlavorLstmModel model;
+         Rng rng(77);
+         const Status trained = model.Train(train, 1, config, rng);
+         if (trained.ok()) {
+           *bytes = ModelFileBytes(model);
+         }
+         return trained;
+       }},
+      {"lifetime hazard head", kCheckpointStageLifetime, lifetime(LifetimeHead::kHazard)},
+      {"lifetime PMF head", kCheckpointStageLifetime, lifetime(LifetimeHead::kPmf)},
+      {"single LSTM", kCheckpointStageSingleLstm,
+       [](const Trace& train, const TrainRecoveryConfig& recovery, std::string* bytes) {
+         SingleLstmConfig config = TinyConfig();
+         config.recovery = recovery;
+         SingleLstmModel model;
+         Rng rng(77);
+         const Status trained = model.Train(train, 1, config, rng);
+         if (trained.ok()) {
+           SingleLstmModel::Generator generator(model, 1);
+           Rng gen_rng(78);
+           for (int64_t p = kPeriodsPerDay; p < 3 * kPeriodsPerDay; ++p) {
+             for (const std::vector<int32_t>& batch : generator.GeneratePeriod(p, gen_rng)) {
+               for (int32_t flavor : batch) {
+                 *bytes += std::to_string(flavor) + ' ';
+               }
+               *bytes += ';';
+             }
+             *bytes += '\n';
+           }
+         }
+         return trained;
+       }},
+  };
+}
+
 TEST(CheckpointResume, StoppedAndResumedRunIsBitwiseIdentical) {
   const Trace train = TrainWindow();
-  const std::string ckpt = TempPath("resume_test.flavor.ckpt");
-  const std::string model_a = TempPath("resume_a.flavor.bin");
-  const std::string model_c = TempPath("resume_c.flavor.bin");
-  std::remove(ckpt.c_str());
+  for (const ResumeCase& trainer : ResumeCases()) {
+    SCOPED_TRACE(trainer.name);
+    const std::string ckpt = TempPath("resume_test.ckpt");
+    std::remove(ckpt.c_str());
 
-  // Run A: uninterrupted reference run.
-  {
-    FlavorLstmModel model;
-    Rng rng(77);
-    ASSERT_TRUE(model.Train(train, 1, TinyConfig(), rng).ok());
-    ASSERT_TRUE(model.SaveToFile(model_a).ok());
+    // Run A: uninterrupted reference run.
+    std::string straight;
+    ASSERT_TRUE(trainer.train(train, TrainRecoveryConfig(), &straight).ok());
+    ASSERT_FALSE(straight.empty());
+
+    // Run B: same seed, checkpoints every epoch, halts after epoch 2 — the
+    // same on-disk state a SIGKILL right after the checkpoint write leaves.
+    TrainRecoveryConfig recovery;
+    recovery.checkpoint_path = ckpt;
+    recovery.stop_after_epoch = 2;
+    std::string stopped;
+    ASSERT_TRUE(trainer.train(train, recovery, &stopped).ok());
+    uint64_t next_epoch = 0;
+    std::string payload;
+    ASSERT_TRUE(
+        TrainCheckpoint::Read(ckpt, trainer.stage_tag, &next_epoch, &payload).ok());
+    EXPECT_EQ(next_epoch, 2u);
+
+    // Run C: resume from B's checkpoint and finish the remaining epochs.
+    recovery.stop_after_epoch = 0;
+    recovery.resume = true;
+    std::string resumed;
+    ASSERT_TRUE(trainer.train(train, recovery, &resumed).ok());
+    EXPECT_EQ(straight, resumed) << "resumed weights diverged from the straight run";
+
+    std::remove(ckpt.c_str());
   }
+}
 
-  // Run B: same seed, checkpoints every epoch, halts after epoch 2 — the
-  // same on-disk state a SIGKILL right after the checkpoint write leaves.
-  {
+// Loading a checkpoint of another network shape used to abort mid-parse
+// (or fail later in a GEMM). It must fail training with a Status before
+// anything is loaded or written, so the other run's progress survives.
+TEST(CheckpointResume, CheckpointOfAnotherShapeFailsAndIsKept) {
+  const Trace train = TrainWindow();
+  const auto shape = [](size_t hidden, size_t layers, size_t clusters) {
     FlavorModelConfig config = TinyConfig();
-    config.recovery.checkpoint_path = ckpt;
-    config.recovery.stop_after_epoch = 2;
+    config.hidden_dim = hidden;
+    config.num_layers = layers;
+    config.factored_clusters = clusters;
+    return config;
+  };
+  const struct {
+    const char* name;
+    FlavorModelConfig writer;
+    FlavorModelConfig resumer;
+  } cases[] = {
+      {"hidden 16 resumed at 24", shape(16, 1, 0), shape(24, 1, 0)},
+      {"hidden 24 resumed at 16", shape(24, 1, 0), shape(16, 1, 0)},
+      {"1 layer resumed at 2", shape(16, 1, 0), shape(16, 2, 0)},
+      {"dense resumed as factored", shape(16, 1, 0), shape(16, 1, 2)},
+  };
+  const std::string ckpt = TempPath("resume_shape.flavor.ckpt");
+  for (const auto& mismatch : cases) {
+    SCOPED_TRACE(mismatch.name);
+    std::remove(ckpt.c_str());
+    FlavorModelConfig writer = mismatch.writer;
+    writer.recovery.checkpoint_path = ckpt;
+    writer.recovery.stop_after_epoch = 1;
+    {
+      FlavorLstmModel model;
+      Rng rng(80);
+      ASSERT_TRUE(model.Train(train, 1, writer, rng).ok());
+    }
+    const std::string before = ReadAll(ckpt);
+    ASSERT_FALSE(before.empty());
+
+    FlavorModelConfig resumer = mismatch.resumer;
+    resumer.recovery.checkpoint_path = ckpt;
+    resumer.recovery.resume = true;
     FlavorLstmModel model;
-    Rng rng(77);
-    ASSERT_TRUE(model.Train(train, 1, config, rng).ok());
+    Rng rng(80);
+    const Status status = model.Train(train, 1, resumer, rng);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
+    EXPECT_NE(status.message().find("remove it to start over"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(ReadAll(ckpt), before) << "the rejected checkpoint was overwritten";
   }
-  uint64_t next_epoch = 0;
-  std::string payload;
-  ASSERT_TRUE(
-      TrainCheckpoint::Read(ckpt, kCheckpointStageFlavor, &next_epoch, &payload).ok());
-  EXPECT_EQ(next_epoch, 2u);
-
-  // Run C: resume from B's checkpoint and finish the remaining epochs.
-  {
-    FlavorModelConfig config = TinyConfig();
-    config.recovery.checkpoint_path = ckpt;
-    config.recovery.resume = true;
-    FlavorLstmModel model;
-    Rng rng(77);
-    ASSERT_TRUE(model.Train(train, 1, config, rng).ok());
-    ASSERT_TRUE(model.SaveToFile(model_c).ok());
-  }
-
-  const std::string bytes_a = ReadAll(model_a);
-  const std::string bytes_c = ReadAll(model_c);
-  ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, bytes_c) << "resumed weights diverged from the straight run";
-
   std::remove(ckpt.c_str());
-  std::remove(model_a.c_str());
-  std::remove(model_c.c_str());
 }
 
 TEST(CheckpointResume, CorruptCheckpointFallsBackToFreshStart) {

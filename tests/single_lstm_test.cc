@@ -37,7 +37,7 @@ TEST(SingleLstm, TrainsAndGeneratesPeriodStructure) {
                                              2 * kPeriodsPerDay);
   SingleLstmModel model;
   Rng rng(1);
-  model.Train(train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(train, 2, TinyConfig(), rng).ok());
   ASSERT_TRUE(model.IsTrained());
   EXPECT_EQ(model.EopToken(), 7u);
 
@@ -76,7 +76,7 @@ TEST(SingleLstm, EmptyPeriodsArePossible) {
                                              2 * kPeriodsPerDay);
   SingleLstmModel model;
   Rng rng(3);
-  model.Train(train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(train, 2, TinyConfig(), rng).ok());
   SingleLstmModel::Generator generator(model, 2);
   Rng gen_rng(4);
   size_t empty = 0;

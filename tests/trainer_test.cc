@@ -1,10 +1,20 @@
-// Tests for the minibatch sequence layout shared by both LSTM trainers.
+// Tests for the training driver shared by every sequence-network trainer:
+// the minibatch sequence layout and the per-epoch telemetry.
 #include "src/core/trainer.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/flavor_model.h"
+#include "src/core/lifetime_model.h"
+#include "src/core/single_lstm_model.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace_span.h"
+#include "src/survival/binning.h"
+#include "src/synth/synthetic_cloud.h"
 #include "src/util/rng.h"
 
 namespace cloudgen {
@@ -73,6 +83,78 @@ TEST(SequenceBatching, EpochOrderIsPermutation) {
   // A different epoch shuffles differently (overwhelmingly likely).
   const std::vector<size_t> order2 = batching.EpochOrder(rng);
   EXPECT_NE(order, order2);
+}
+
+// perfbench and the docs read these names (perfbench's core.minibatches is
+// train.flavor.minibatches + train.lifetime.minibatches). The driver builds
+// them from each trainer's span name at runtime, so a typo would silently
+// zero them rather than fail to compile.
+TEST(TrainerTelemetry, EveryTrainerPublishesItsEpochMetricsAndSpans) {
+  SynthProfile profile = AzureLikeProfile(0.3);
+  profile.train_days = 1;
+  profile.dev_days = 1;
+  profile.test_days = 1;
+  profile.num_flavors = 4;
+  profile.num_users = 20;
+  const Trace full = SyntheticCloud(profile, 405).Generate();
+  const Trace train = ApplyObservationWindow(full, 0, kPeriodsPerDay, kPeriodsPerDay);
+  const LifetimeBinning binning = MakePaperBinning();
+  constexpr size_t kEpochs = 2;
+  const SequenceBatchingSpec spec{24, 8};
+
+  obs::Registry& registry = obs::Registry::Global();
+  registry.Reset();
+  obs::TraceCollector::Global().Reset();
+  obs::TraceCollector::Global().SetEnabled(true);
+  FlavorModelConfig flavor_config;
+  flavor_config.hidden_dim = 8;
+  flavor_config.num_layers = 1;
+  flavor_config.seq_len = spec.seq_len;
+  flavor_config.batch_size = spec.batch_size;
+  flavor_config.epochs = kEpochs;
+  LifetimeModelConfig lifetime_config;
+  lifetime_config.hidden_dim = 8;
+  lifetime_config.num_layers = 1;
+  lifetime_config.seq_len = spec.seq_len;
+  lifetime_config.batch_size = spec.batch_size;
+  lifetime_config.epochs = kEpochs;
+  Rng rng(9);
+  FlavorLstmModel flavor;
+  ASSERT_TRUE(flavor.Train(train, 1, flavor_config, rng).ok());
+  LifetimeLstmModel lifetime;
+  ASSERT_TRUE(lifetime.Train(train, binning, 1, lifetime_config, rng).ok());
+  SingleLstmModel single;
+  ASSERT_TRUE(single.Train(train, 1, flavor_config, rng).ok());
+  obs::TraceCollector::Global().SetEnabled(false);
+  const std::vector<obs::SpanEvent> spans = obs::TraceCollector::Global().Events();
+
+  const struct {
+    const char* span;
+    size_t steps;
+  } trainers[] = {
+      {"train.flavor", BuildFlavorStream(train, 1).tokens.size()},
+      {"train.lifetime", BuildLifetimeStream(train, binning, 1).steps.size()},
+      {"train.single_lstm", BuildEopStream(train, 1).tokens.size()},
+  };
+  for (const auto& trainer : trainers) {
+    SCOPED_TRACE(trainer.span);
+    const std::string name = trainer.span;
+    const SequenceBatching batching(trainer.steps, spec);
+    EXPECT_EQ(registry.GetCounter(name + ".minibatches").Value(),
+              kEpochs * batching.NumMinibatches());
+    for (const char* series : {".loss", ".grad_norm", ".lr", ".rows_per_sec"}) {
+      EXPECT_EQ(registry.GetSeries(name + series).Points().size(), kEpochs) << series;
+    }
+    size_t run_spans = 0;
+    size_t epoch_spans = 0;
+    for (const obs::SpanEvent& span : spans) {
+      run_spans += static_cast<size_t>(span.name == name);
+      epoch_spans += static_cast<size_t>(span.name == name + "_epoch");
+    }
+    EXPECT_EQ(run_spans, 1u);
+    EXPECT_EQ(epoch_spans, kEpochs);
+  }
+  EXPECT_EQ(registry.GetHistogram("time.train_epoch_ms").Count(), 3 * kEpochs);
 }
 
 }  // namespace
