@@ -36,7 +36,7 @@ double SurvivalMseFor(const LifetimeLstmModel& model, const Trace& test,
   return MeanSurvivalMse(fns, lifetimes, grid);
 }
 
-void Run() {
+int Run() {
   PrintBanner("Ablation: lifetime head parameterization (hazard vs PMF)");
   CloudWorkbench workbench(CloudKind::kAzureLike, DefaultWorkbenchOptions());
   const Trace& train = workbench.Splits().train;
@@ -58,19 +58,22 @@ void Run() {
     head_config.head = head;
     LifetimeLstmModel model;
     Rng rng(4242);  // Identical init/order for both heads.
-    model.Train(train, binning, workbench.Model().HistoryDays(), head_config, rng);
+    const Status trained =
+        model.Train(train, binning, workbench.Model().HistoryDays(), head_config, rng);
+    if (!trained.ok()) {
+      std::fprintf(stderr, "lifetime training failed: %s\n", trained.ToString().c_str());
+      return 1;
+    }
     const auto eval = model.Evaluate(test);
     std::printf("%-8s | %10.3f | %9.1f%% | %13.2f%%\n",
                 head == LifetimeHead::kHazard ? "hazard" : "PMF", eval.job_nll,
                 eval.one_best_err * 100.0, 100.0 * SurvivalMseFor(model, test, binning));
   }
   std::printf("\n(Kvamme & Borgan / the paper: hazard slightly better than PMF)\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace cloudgen
 
-int main() {
-  cloudgen::Run();
-  return 0;
-}
+int main() { return cloudgen::Run(); }

@@ -16,8 +16,9 @@
 // bench.overhead.fidelity (enabled/disabled GenerateMany ratio, CI-gated
 // < 1.05), and the hardware parallelism used
 // for the threaded variants under bench.hardware_threads. The speedups
-// compare the seed's reference kernels / single-thread / pre-pack paths
-// against the blocked + thread-sharded + packed substrate on the same machine.
+// compare the seed's reference kernels / single-thread / allocating step
+// paths against the blocked + thread-sharded + zero-allocation substrate on
+// the same machine.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -148,7 +149,7 @@ double BenchGeneration(size_t threads, const std::string& name) {
   return ms;
 }
 
-// --- Inference fast path: packed stepper vs the pre-fast-path step ---------
+// --- Inference fast path: workspace step vs the pre-fast-path step ---------
 //
 // The naive stepper replicates the per-token inference path as it existed
 // before this fast path landed: the tile-dispatched GEMM kernel for every
@@ -246,7 +247,6 @@ double BenchGenFastPath() {
   });
 
   SequenceNetwork network = MakeNetwork(kInput, kHidden, kOutput);
-  network.Prepack();
   LstmState state = network.MakeState(1);
   StepWorkspace ws;
   const double fast_ms = RunBench("gen_step_fast", [&] {
@@ -265,7 +265,7 @@ double BenchGenFastPath() {
 }
 
 // Cost of the numeric-health guard on the generation hot loop: the same
-// packed step as gen_step_fast plus the per-step AllFinite scan that
+// workspace step as gen_step_fast plus the per-step AllFinite scan that
 // --guard=abort (the default) adds. Returns the overhead in percent; the CI
 // gate keeps it under 5% so the guards can stay on by default.
 double BenchGenGuardedStep() {
@@ -280,7 +280,6 @@ double BenchGenGuardedStep() {
   Matrix logits;
 
   SequenceNetwork network = MakeNetwork(kInput, kHidden, kOutput);
-  network.Prepack();
   LstmState state = network.MakeState(1);
   StepWorkspace ws;
   bool healthy = true;
@@ -334,16 +333,16 @@ double BenchGenGuardedStep() {
 //
 // The batched inference engine's payoff: advancing B concurrent streams as
 // one blocked (and thread-sharded) GEMM batch per layer instead of B
-// per-stream GEMVs. Both variants run the packed route and produce bitwise
-// -identical per-row outputs (see tests/batch_gen_test.cc); this measures
-// only the throughput gap at the engine's gate batch size (64 streams).
+// per-stream GEMVs. Both variants run zero-allocation routes and produce
+// bitwise-identical per-row outputs (see tests/batch_gen_test.cc); this
+// measures only the throughput gap at the engine's gate batch size (64
+// streams).
 double BenchGenBatched(size_t hw) {
   constexpr size_t kStreams = 64;
   constexpr size_t kInput = 96;
   constexpr size_t kHidden = 64;
   constexpr size_t kOutput = 47;
   SequenceNetwork network = MakeNetwork(kInput, kHidden, kOutput);
-  network.Prepack();
   Rng rng(21);
 
   // Single-stream route: each stream steps alone, exactly as the legacy
@@ -389,8 +388,8 @@ double BenchGenBatched(size_t hw) {
 //
 // Trains a deliberately tiny WorkloadModel on synthetic data (one epoch per
 // stage: the subject here is generation, not fit quality), then times a
-// single Generate and a threaded GenerateMany. Both exercise the packed fast
-// path through the real flavor + lifetime generator loops.
+// single Generate and a threaded GenerateMany. Both exercise the fast path
+// through the real flavor + lifetime generator loops.
 bool TrainBenchModel(WorkloadModel* model) {
   SynthProfile profile = AzureLikeProfile(0.4);
   profile.train_days = 2;

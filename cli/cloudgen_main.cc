@@ -9,9 +9,9 @@
 //
 // Examples:
 //   cloudgen synth --profile azure --out jobs.csv --flavors flavors.csv
-//   cloudgen train --jobs jobs.csv --flavors flavors.csv --train-days 16 \
+//   cloudgen train --jobs jobs.csv --flavors flavors.csv --train-days 16
 //                  --model model --epochs 12
-//   cloudgen generate --jobs jobs.csv --flavors flavors.csv --train-days 16 \
+//   cloudgen generate --jobs jobs.csv --flavors flavors.csv --train-days 16
 //                  --model model --from-day 18 --days 2 --out gen.csv
 #include <sys/stat.h>
 #include <unistd.h>

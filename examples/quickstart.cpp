@@ -36,7 +36,11 @@ int main() {
   config.lifetime.epochs = 3;
   WorkloadModel model;
   Rng rng(7);
-  model.Train(train, config, rng);
+  const Status trained = model.Train(train, config, rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
   std::printf("trained: flavor LSTM %zu params, lifetime LSTM %zu params\n",
               model.FlavorModel().NumParameters(), model.LifetimeModel().NumParameters());
 

@@ -32,7 +32,11 @@ int main() {
   config.lifetime.epochs = 3;
   WorkloadModel model;
   Rng rng(5);
-  model.Train(train, config, rng);
+  const Status trained = model.Train(train, config, rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
   const LstmGenerator generator(model);
 
   const auto algorithms = MakeAllPackingAlgorithms();

@@ -29,7 +29,11 @@ int main() {
   config.lifetime.epochs = 3;
   WorkloadModel model;
   Rng rng(5);
-  model.Train(train, config, rng);
+  const Status trained = model.Train(train, config, rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
 
   const LifetimeBinning binning = MakePaperBinning();
   const NaiveGenerator naive(train, binning);
@@ -54,9 +58,14 @@ int main() {
   std::printf("(c) LSTM generator — batch structure recovered:\n%s\n",
               RenderAnsi(lstm_trace, binning, options).c_str());
 
-  WritePpm(real_window, binning, options, "trace_real.ppm");
-  WritePpm(naive_trace, binning, options, "trace_naive.ppm");
-  WritePpm(lstm_trace, binning, options, "trace_lstm.ppm");
+  for (const Status& written : {WritePpm(real_window, binning, options, "trace_real.ppm"),
+                                WritePpm(naive_trace, binning, options, "trace_naive.ppm"),
+                                WritePpm(lstm_trace, binning, options, "trace_lstm.ppm")}) {
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      return 1;
+    }
+  }
   std::printf("wrote trace_real.ppm, trace_naive.ppm, trace_lstm.ppm\n");
   return 0;
 }

@@ -32,7 +32,11 @@ int main() {
   config.lifetime.epochs = 3;
   WorkloadModel model;
   Rng rng(9);
-  model.Train(train, config, rng);
+  const Status trained = model.Train(train, config, rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
 
   const int64_t from = profile.TotalPeriods();
   const int64_t to = from + kPeriodsPerDay;

@@ -383,9 +383,10 @@ void FlavorLstmModel::Generator::ConsumeStep(Rng& rng) {
                              static_cast<long long>(period_)));
       }
       if (guard_ == GuardPolicy::kFallback) {
-        // Redo the step through the reference (non-packed) route from the
+        // Redo the step through the reference (no-workspace) route from the
         // pre-step snapshot; on healthy weights it is bitwise-identical to
-        // the fast path, so the recovered trace matches an unfaulted run.
+        // the workspace route, so the recovered trace matches an unfaulted
+        // run.
         state_ = fallback_state_;
         model_.network_.StepLogits(input_, &state_, &logits_);
         if (!AllFinite(logits_.Row(0), logits_.Cols())) {
@@ -585,8 +586,6 @@ Status FlavorLstmModel::LoadFromFile(const std::string& path, int history_days,
         "flavor model %s input dim %zu does not match the encoder dim (%d flavors)",
         path.c_str(), network_.Config().input_dim, static_cast<int>(num_flavors)));
   }
-  // Loaded parameters are final: build the packed inference weights once.
-  network_.Prepack();
   return OkStatus();
 }
 

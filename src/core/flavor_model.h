@@ -107,12 +107,6 @@ class FlavorLstmModel {
   // Next-token distribution given a context; exposed for tests.
   std::vector<double> NextTokenProbs(const FlavorStream& stream, size_t upto_step) const;
 
-  // Drops the packed inference weights so generation exercises the reference
-  // step path; used by equivalence tests to compare the two routes.
-  // PrepackForTest restores the normal (packed) state afterwards.
-  void InvalidatePackedForTest() { network_.InvalidatePacked(); }
-  void PrepackForTest() { network_.Prepack(); }
-
   // Stateful token generator for consecutive periods of one sampled trace
   // (hidden state persists across periods, so cross-period momentum carries
   // through). The trace loop that drives it is TraceStreamMachine
@@ -182,8 +176,8 @@ class FlavorLstmModel {
     size_t prev_token_;
     Matrix input_;
     Matrix logits_;
-    // Reused scratch: with packed weights ready, steady-state token sampling
-    // performs no heap allocation.
+    // Reused scratch for the network's workspace route: steady-state token
+    // sampling performs no heap allocation.
     StepWorkspace ws_;
     // Pre-step snapshot for --guard=fallback (same-shape copies: no
     // steady-state allocation). Unused under other policies.

@@ -15,12 +15,13 @@
 //   resample  Sanitize the offending distribution (drop non-finite /
 //             negative weights, clamp hazards; degrade to uniform if nothing
 //             valid remains) and keep sampling.
-//   fallback  Re-run the step through the reference (non-packed) network
-//             route from a pre-step state snapshot. Since the packed and
-//             reference routes are bitwise-identical on healthy inputs
-//             (PR 4's contract), a transient fast-path fault recovers to the
-//             exact trace an unfaulted run would produce. Escalates to
-//             GuardViolation if the reference route is unhealthy too.
+//   fallback  Re-run the step through the network's reference
+//             (no-workspace) route from a pre-step state snapshot. Since
+//             the workspace and reference routes are bitwise-identical on
+//             healthy inputs, a transient fault in the workspace step
+//             recovers to the exact trace an unfaulted run would produce.
+//             Escalates to GuardViolation if the reference route is
+//             unhealthy too.
 //
 // The checks consume no RNG draws and, on healthy outputs, change nothing —
 // guarded and unguarded runs are bitwise-identical. Violations and

@@ -349,9 +349,9 @@ size_t LifetimeLstmModel::Generator::ConsumeJobStep(Rng& rng) {
                            static_cast<long long>(period)));
     }
     if (guard_ == GuardPolicy::kFallback) {
-      // Redo the step through the reference (non-packed) route from the
+      // Redo the step through the reference (no-workspace) route from the
       // pre-step snapshot; on healthy outputs it is bitwise-identical to the
-      // fast path, so the recovered trace matches an unfaulted run.
+      // workspace route, so the recovered trace matches an unfaulted run.
       state_ = fallback_state_;
       model_.network_.StepLogits(input_, &state_, &logits_);
       model_.LogitsToHazardInto(logits_, &hazard_, &ws_.scratch);
@@ -440,8 +440,6 @@ Status LifetimeLstmModel::LoadFromFile(const std::string& path,
     return FailedPreconditionError(
         path + ": loaded lifetime model does not match the encoder dimensions");
   }
-  // Loaded parameters are final: build the packed inference weights once.
-  network_.Prepack();
   return OkStatus();
 }
 

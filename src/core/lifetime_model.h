@@ -106,12 +106,6 @@ class LifetimeLstmModel {
   // Per-job predicted hazards under teacher forcing (for Survival-MSE).
   std::vector<std::vector<double>> PredictHazards(const Trace& test) const;
 
-  // Drops the packed inference weights so generation exercises the reference
-  // step path; used by equivalence tests to compare the two routes.
-  // PrepackForTest restores the normal (packed) state afterwards.
-  void InvalidatePackedForTest() { network_.InvalidatePacked(); }
-  void PrepackForTest() { network_.Prepack(); }
-
   // Stateful generator mirroring FlavorLstmModel::Generator: call StepJob for
   // every job of a sampled trace in generation order.
   class Generator {
@@ -155,8 +149,8 @@ class LifetimeLstmModel {
     PrevLifetime prev_;
     Matrix input_;
     Matrix logits_;
-    // Reused scratch: with packed weights ready, steady-state job sampling
-    // performs no heap allocation.
+    // Reused scratch for the network's workspace route: steady-state job
+    // sampling performs no heap allocation.
     StepWorkspace ws_;
     std::vector<double> hazard_;
     // Pre-step snapshot for --guard=fallback (same-shape copies: no

@@ -77,8 +77,8 @@ class SingleLstmModel {
     size_t prev_token_;
     Matrix input_;
     Matrix logits_;
-    // Reused scratch: with packed weights ready, steady-state token sampling
-    // performs no heap allocation.
+    // Reused scratch for the network's workspace route: steady-state token
+    // sampling performs no heap allocation.
     StepWorkspace ws_;
     // Pre-step snapshot for --guard=fallback (same-shape copies: no
     // steady-state allocation). Unused under other policies.

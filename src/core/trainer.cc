@@ -377,8 +377,6 @@ Status TrainSequenceNetwork(const TrainerIdentity& trainer, const SequenceTrainC
       break;
     }
   }
-  // Parameters are final: build the packed inference weights once.
-  network->Prepack();
   return OkStatus();
 }
 

@@ -169,8 +169,8 @@ using MinibatchFillFn = std::function<void(const SequenceBatching& batching, siz
 // minibatch fill → BPTT → Adam step, with the divergence watchdog's verdict
 // after every epoch. Resumes from `config.recovery`'s checkpoint when asked
 // (FAILED_PRECONDITION, touching nothing, when it was written for another
-// network shape) and prepacks the network when done. Fails with ABORTED
-// when the watchdog exhausts its rollback budget.
+// network shape). Fails with ABORTED when the watchdog exhausts its rollback
+// budget.
 Status TrainSequenceNetwork(const TrainerIdentity& trainer, const SequenceTrainConfig& config,
                             size_t num_steps, const MinibatchFillFn& fill,
                             const DataParallelBptt::ShardLossFn& shard_loss,

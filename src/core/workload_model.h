@@ -208,18 +208,6 @@ class WorkloadModel {
   const FlavorCatalog& Flavors() const { return flavors_; }
   int HistoryDays() const { return arrival_model_.HistoryDays(); }
 
-  // Drops both LSTMs' packed inference weights so generation exercises the
-  // reference step path; equivalence tests compare the two routes on the same
-  // seed and expect byte-identical traces.
-  void InvalidatePackedForTest() {
-    flavor_model_.InvalidatePackedForTest();
-    lifetime_model_.InvalidatePackedForTest();
-  }
-  void PrepackForTest() {
-    flavor_model_.PrepackForTest();
-    lifetime_model_.PrepackForTest();
-  }
-
   // Model persistence (the flavor and lifetime networks; the arrival model is
   // cheap and is always refit). Each network file is written atomically and
   // carries a CRC-validated header, so a torn or corrupted file is detected

@@ -36,38 +36,17 @@ void Linear::ForwardInference(const Matrix& x, Matrix* y) const {
   }
 }
 
-void Linear::StepForwardPacked(const float* x, float* acc, float* y) const {
-  CG_DCHECK(PackedReady());
-  const size_t in = weight_.Rows();
-  const size_t out = weight_.Cols();
-  std::fill(acc, acc + out, 0.0f);
-  GemvAccumulate(x, in, packed_.Row(0), out, acc);
-  const float* b = packed_.Row(in);
-  for (size_t j = 0; j < out; ++j) {
-    // Matches ForwardInference exactly: Gemm's beta=0 epilogue stores
-    // 0.0f + chain, then the bias loop adds b on top.
-    y[j] = (0.0f + acc[j]) + b[j];
-  }
-}
-
 void Linear::ForwardSpan(const float* x, size_t c0, size_t n, float* acc,
                          float* y) const {
   CG_DCHECK(c0 + n <= weight_.Cols());
   const size_t in = weight_.Rows();
   std::fill(acc, acc + n, 0.0f);
-  GemvAccumulateStrided(x, in, weight_.Row(0) + c0, weight_.Cols(), n, acc);
+  GemvAccumulate(x, in, weight_.Row(0) + c0, weight_.Cols(), n, acc);
   const float* b = bias_.Row(0) + c0;
   for (size_t j = 0; j < n; ++j) {
     // Same epilogue order as ForwardInference: beta=0 store, then bias add.
     y[j] = (0.0f + acc[j]) + b[j];
   }
-}
-
-void Linear::Prepack() {
-  const size_t in = weight_.Rows();
-  packed_.Resize(in + 1, weight_.Cols());
-  std::copy(weight_.Data(), weight_.Data() + weight_.Size(), packed_.Row(0));
-  std::copy(bias_.Data(), bias_.Data() + bias_.Size(), packed_.Row(in));
 }
 
 void Linear::Backward(const Matrix& dy, Matrix* dx) {
@@ -89,10 +68,7 @@ void Linear::Backward(const Matrix& dy, Matrix* dx) {
   }
 }
 
-std::vector<Matrix*> Linear::Params() {
-  InvalidatePacked();
-  return {&weight_, &bias_};
-}
+std::vector<Matrix*> Linear::Params() { return {&weight_, &bias_}; }
 
 std::vector<const Matrix*> Linear::Params() const { return {&weight_, &bias_}; }
 
@@ -111,7 +87,6 @@ void Linear::Save(std::ostream& out) const {
 void Linear::Load(std::istream& in) {
   weight_ = ReadMatrix(in);
   bias_ = ReadMatrix(in);
-  InvalidatePacked();
   grad_weight_.Resize(weight_.Rows(), weight_.Cols());
   grad_bias_.Resize(bias_.Rows(), bias_.Cols());
 }

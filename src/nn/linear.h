@@ -28,35 +28,22 @@ class Linear {
   // Inference-only forward (no caching).
   void ForwardInference(const Matrix& x, Matrix* y) const;
 
-  // Zero-allocation single-row forward over the packed weights (PackedReady()
-  // must be true). `x` has InDim() elements, `y` OutDim(); `acc` is caller
-  // scratch of OutDim() floats. Bitwise-identical to ForwardInference on a
-  // one-row input: same GEMV chain as the blocked GEMM, bias added in the
-  // epilogue with the same operation order.
-  void StepForwardPacked(const float* x, float* acc, float* y) const;
-
-  // Column-span inference for one input row: y[j] = x . W[:, c0+j] + b[c0+j]
-  // for j in [0, n). Reads weight_/bias_ directly through the strided GEMV
-  // (no packing required), with `acc` as caller scratch of n floats.
-  // Bitwise-identical to columns [c0, c0+n) of ForwardInference on the same
-  // row — the per-element accumulation chains are column-position
-  // independent — which is what lets the class-factored softmax evaluate one
-  // cluster's slice of a huge output layer in O(n) instead of O(OutDim()).
+  // Zero-allocation column-span inference for one input row:
+  // y[j] = x . W[:, c0+j] + b[c0+j] for j in [0, n), reading weight_/bias_
+  // in place through the strided GEMV, with `acc` as caller scratch of n
+  // floats. Bitwise-identical to columns [c0, c0+n) of ForwardInference on
+  // the same row — the per-element accumulation chains are column-position
+  // independent and the bias is added in the same epilogue order. The full
+  // span (0, OutDim()) is the dense head's batch-1 step; a cluster's slice
+  // lets the class-factored softmax evaluate a huge output layer in O(n)
+  // instead of O(OutDim()).
   void ForwardSpan(const float* x, size_t c0, size_t n, float* acc, float* y) const;
-
-  // Packed-weight cache for the inference fast path: [weight_; bias_] as one
-  // contiguous (in+1, out) block. Invalidated by every mutable-parameter
-  // route (Params(), Load()); rebuild with Prepack() after the last update.
-  void Prepack();
-  void InvalidatePacked() { packed_.Resize(0, 0); }
-  bool PackedReady() const { return !packed_.Empty(); }
 
   // Given dL/dY, accumulates parameter gradients and writes dL/dX (optional:
   // pass nullptr when the input gradient is not needed).
   void Backward(const Matrix& dy, Matrix* dx);
 
-  // Parameter access for the optimizer. Order: weight, bias. The mutable
-  // overload conservatively invalidates the packed weights.
+  // Parameter access for the optimizer. Order: weight, bias.
   std::vector<Matrix*> Params();
   std::vector<const Matrix*> Params() const;
   std::vector<Matrix*> Grads();
@@ -68,7 +55,6 @@ class Linear {
  private:
   Matrix weight_;       // (in, out)
   Matrix bias_;         // (1, out)
-  Matrix packed_;       // (in+1, out): rows [0,in) = weight_, row in = bias_.
   Matrix grad_weight_;  // (in, out)
   Matrix grad_bias_;    // (1, out)
   Matrix cached_x_;     // (batch, in) from the last Forward.

@@ -14,8 +14,8 @@ namespace cloudgen {
 namespace {
 
 // One row of gate activation and state update, shared by the reference step
-// (StepCompute) and the packed fast path (StepForwardFast) so both emit the
-// exact same float operations — including any FMA contraction the compiler
+// (StepCompute) and the zero-allocation step (StepForwardFast) so both emit
+// the exact same float operations — including any FMA contraction the compiler
 // picks — keeping the two routes bitwise-identical. `g` holds pre-activation
 // gates [i|f|g|o] (bias not yet added) and is overwritten with
 // post-activation values. `cp` and `c_row` may alias (in-place state update):
@@ -199,19 +199,18 @@ void LstmLayer::StepForward(const Matrix& x, Matrix* h, Matrix* c) const {
 
 void LstmLayer::StepForwardFast(const float* x, float* h, float* c, float* gates,
                                 float* acc) const {
-  CG_DCHECK(PackedReady());
   const size_t in = wx_.Rows();
   const size_t h4 = 4 * hidden_;
   // gates = x * wx, reproducing Gemm(beta=0)'s zero-then-accumulate epilogue
   // (0.0f + chain) exactly, including its +0/-0 behaviour.
   std::fill(acc, acc + h4, 0.0f);
-  GemvAccumulate(x, in, packed_.Row(0), h4, acc);
+  GemvAccumulate(x, in, wx_.Row(0), h4, h4, acc);
   for (size_t j = 0; j < h4; ++j) {
     gates[j] = 0.0f + acc[j];
   }
   // gates += h * wh (Gemm with beta=1: a second independent chain, added on).
   std::fill(acc, acc + h4, 0.0f);
-  GemvAccumulate(h, hidden_, packed_.Row(in), h4, acc);
+  GemvAccumulate(h, hidden_, wh_.Row(0), h4, h4, acc);
   for (size_t j = 0; j < h4; ++j) {
     gates[j] += acc[j];
   }
@@ -240,18 +239,7 @@ void LstmLayer::StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c,
   }
 }
 
-void LstmLayer::Prepack() {
-  const size_t in = wx_.Rows();
-  const size_t h4 = 4 * hidden_;
-  packed_.Resize(in + hidden_, h4);
-  std::copy(wx_.Data(), wx_.Data() + wx_.Size(), packed_.Row(0));
-  std::copy(wh_.Data(), wh_.Data() + wh_.Size(), packed_.Row(in));
-}
-
-std::vector<Matrix*> LstmLayer::Params() {
-  InvalidatePacked();
-  return {&wx_, &wh_, &b_};
-}
+std::vector<Matrix*> LstmLayer::Params() { return {&wx_, &wh_, &b_}; }
 
 std::vector<const Matrix*> LstmLayer::Params() const { return {&wx_, &wh_, &b_}; }
 
@@ -279,7 +267,6 @@ void LstmLayer::Load(std::istream& in) {
   wx_ = ReadMatrix(in);
   wh_ = ReadMatrix(in);
   b_ = ReadMatrix(in);
-  InvalidatePacked();
   grad_wx_.Resize(wx_.Rows(), wx_.Cols());
   grad_wh_.Resize(wh_.Rows(), wh_.Cols());
   grad_b_.Resize(b_.Rows(), b_.Cols());
@@ -352,27 +339,6 @@ void StackedLstm::StepForwardBatch(const Matrix& x, LstmState* state,
     layers_[l].StepForwardBatch(*cur, &state->h[l], &state->c[l], gates);
     cur = &state->h[l];
   }
-}
-
-void StackedLstm::Prepack() {
-  for (auto& layer : layers_) {
-    layer.Prepack();
-  }
-}
-
-void StackedLstm::InvalidatePacked() {
-  for (auto& layer : layers_) {
-    layer.InvalidatePacked();
-  }
-}
-
-bool StackedLstm::PackedReady() const {
-  for (const auto& layer : layers_) {
-    if (!layer.PackedReady()) {
-      return false;
-    }
-  }
-  return !layers_.empty();
 }
 
 LstmState StackedLstm::ZeroState(size_t batch) const {

@@ -64,12 +64,12 @@ class LstmLayer {
   // and are updated in place; `out_h` receives the new hidden state.
   void StepForward(const Matrix& x, Matrix* h, Matrix* c) const;
 
-  // Zero-allocation batch-1 step over the packed weights (PackedReady() must
-  // be true). `x` has InDim() elements; `h` and `c` (HiddenDim() each) are
-  // updated in place. `gates` and `acc` are caller-owned scratch of 4*H
-  // floats each. Bitwise-identical to StepForward: the GEMV chains match the
-  // blocked GEMM's per-element chains and the gate activation shares one
-  // helper with the reference path.
+  // Zero-allocation batch-1 step that reads the parameters in place. `x` has
+  // InDim() elements; `h` and `c` (HiddenDim() each) are updated in place.
+  // `gates` and `acc` are caller-owned scratch of 4*H floats each.
+  // Bitwise-identical to StepForward: the GEMV chains match the blocked
+  // GEMM's per-element chains and the gate activation shares one helper with
+  // the reference path.
   void StepForwardFast(const float* x, float* h, float* c, float* gates,
                        float* acc) const;
 
@@ -82,20 +82,8 @@ class LstmLayer {
   // activation is the same shared helper as both single-stream routes.
   void StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c, Matrix* gates) const;
 
-  // Packed-weight cache for the inference fast path: one contiguous
-  // [wx_; wh_] block built from the current parameters. Any route that can
-  // mutate parameters — mutable Params() and Load() — invalidates it, so a
-  // stale pack can never be consumed; callers re-Prepack() once after the
-  // last parameter update (end of training / model load).
-  void Prepack();
-  void InvalidatePacked() { packed_.Resize(0, 0); }
-  bool PackedReady() const { return !packed_.Empty(); }
-
-  // Mutable parameter access (optimizer, fault injection). Conservatively
-  // invalidates the packed weights — the caller may write through the
-  // returned pointers at any time.
+  // Parameter access (optimizer, fault injection). Order: wx, wh, b.
   std::vector<Matrix*> Params();
-  // Read-only parameter access; leaves the packed weights valid.
   std::vector<const Matrix*> Params() const;
   std::vector<Matrix*> Grads();
   void ZeroGrads();
@@ -108,10 +96,6 @@ class LstmLayer {
   Matrix wx_;  // (in, 4H)
   Matrix wh_;  // (H, 4H)
   Matrix b_;   // (1, 4H); forget-gate slice initialized to 1.
-
-  // Inference fast-path cache: rows [0, in) mirror wx_, rows [in, in+H)
-  // mirror wh_, one contiguous (in+H, 4H) block. Empty = invalid.
-  Matrix packed_;
 
   Matrix grad_wx_;
   Matrix grad_wh_;
@@ -154,10 +138,10 @@ class StackedLstm {
   // updated in place. `out` receives the top layer's new hidden state.
   void StepForward(const Matrix& x, LstmState* state, Matrix* out) const;
 
-  // Zero-allocation batch-1 step over packed weights (PackedReady() required;
-  // `state` batch must be 1). Updates `state` in place; the top layer's new
-  // hidden state is state->h.back().Row(0) — no inter-layer copies are made.
-  // `gates`/`acc` are caller scratch of 4*HiddenDim() floats each.
+  // Zero-allocation batch-1 step (`state` batch must be 1). Updates `state`
+  // in place; the top layer's new hidden state is state->h.back().Row(0) —
+  // no inter-layer copies are made. `gates`/`acc` are caller scratch of
+  // 4*HiddenDim() floats each.
   void StepForwardFast(const float* x, LstmState* state, float* gates, float* acc) const;
 
   // Batched multi-stream step across all layers: `state` holds one (B, H)
@@ -166,11 +150,6 @@ class StackedLstm {
   // is shared caller scratch, resized to (B, 4*HiddenDim()). Row r is
   // bitwise-identical to a batch-1 step on that stream alone.
   void StepForwardBatch(const Matrix& x, LstmState* state, Matrix* gates) const;
-
-  // Packed-weight cache management across all layers (see LstmLayer).
-  void Prepack();
-  void InvalidatePacked();
-  bool PackedReady() const;
 
   LstmState ZeroState(size_t batch) const;
 

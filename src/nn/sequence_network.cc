@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
+#include <istream>
+#include <ostream>
 
 #include "src/util/check.h"
 #include "src/util/rng.h"
@@ -74,6 +75,24 @@ void SequenceNetwork::BackwardSequence(const std::vector<Matrix>& dlogits) {
 
 LstmState SequenceNetwork::MakeState(size_t batch) const { return lstm_.ZeroState(batch); }
 
+bool SequenceNetwork::StepWorkspaceRoute(const Matrix& x, LstmState* state,
+                                         StepWorkspace* ws) const {
+  if (ws == nullptr || x.Rows() != 1 || x.Cols() != config_.input_dim ||
+      state->h.empty() || state->h[0].Rows() != 1) {
+    return false;
+  }
+  const size_t h4 = 4 * config_.hidden_dim;
+  const size_t acc_cols = std::max(h4, config_.output_dim);
+  if (ws->gates.Rows() != 1 || ws->gates.Cols() != h4) {
+    ws->gates.Resize(1, h4);
+  }
+  if (ws->acc.Rows() != 1 || ws->acc.Cols() != acc_cols) {
+    ws->acc.Resize(1, acc_cols);
+  }
+  lstm_.StepForwardFast(x.Row(0), state, ws->gates.Row(0), ws->acc.Row(0));
+  return true;
+}
+
 void SequenceNetwork::StepLogits(const Matrix& x, LstmState* state, Matrix* logits,
                                  StepWorkspace* ws) const {
   CG_CHECK(state != nullptr && logits != nullptr);
@@ -85,21 +104,12 @@ void SequenceNetwork::StepLogits(const Matrix& x, LstmState* state, Matrix* logi
     fhead_.ForwardInference(state->h.back(), logits);
     return;
   }
-  if (ws != nullptr && FastPathReady() && x.Rows() == 1 &&
-      x.Cols() == config_.input_dim && !state->h.empty() && state->h[0].Rows() == 1) {
-    const size_t h4 = 4 * config_.hidden_dim;
-    const size_t acc_cols = std::max(h4, config_.output_dim);
-    if (ws->gates.Rows() != 1 || ws->gates.Cols() != h4) {
-      ws->gates.Resize(1, h4);
-    }
-    if (ws->acc.Rows() != 1 || ws->acc.Cols() != acc_cols) {
-      ws->acc.Resize(1, acc_cols);
-    }
+  if (StepWorkspaceRoute(x, state, ws)) {
     if (logits->Rows() != 1 || logits->Cols() != config_.output_dim) {
       logits->Resize(1, config_.output_dim);
     }
-    lstm_.StepForwardFast(x.Row(0), state, ws->gates.Row(0), ws->acc.Row(0));
-    head_.StepForwardPacked(state->h.back().Row(0), ws->acc.Row(0), logits->Row(0));
+    head_.ForwardSpan(state->h.back().Row(0), 0, config_.output_dim, ws->acc.Row(0),
+                      logits->Row(0));
     return;
   }
   Matrix hidden;
@@ -110,21 +120,10 @@ void SequenceNetwork::StepLogits(const Matrix& x, LstmState* state, Matrix* logi
 void SequenceNetwork::StepRecurrent(const Matrix& x, LstmState* state,
                                     StepWorkspace* ws) const {
   CG_CHECK(state != nullptr);
-  if (ws != nullptr && lstm_.PackedReady() && x.Rows() == 1 &&
-      x.Cols() == config_.input_dim && !state->h.empty() && state->h[0].Rows() == 1) {
-    const size_t h4 = 4 * config_.hidden_dim;
-    const size_t acc_cols = std::max(h4, config_.output_dim);
-    if (ws->gates.Rows() != 1 || ws->gates.Cols() != h4) {
-      ws->gates.Resize(1, h4);
-    }
-    if (ws->acc.Rows() != 1 || ws->acc.Cols() != acc_cols) {
-      ws->acc.Resize(1, acc_cols);
-    }
-    lstm_.StepForwardFast(x.Row(0), state, ws->gates.Row(0), ws->acc.Row(0));
-    return;
+  if (!StepWorkspaceRoute(x, state, ws)) {
+    Matrix hidden;
+    lstm_.StepForward(x, state, &hidden);
   }
-  Matrix hidden;
-  lstm_.StepForward(x, state, &hidden);
 }
 
 void SequenceNetwork::EnsureBatchStep(size_t rows, BatchStepWorkspace* ws) const {
@@ -151,28 +150,10 @@ void SequenceNetwork::StepBatch(BatchStepWorkspace* ws) const {
   lstm_.StepForwardBatch(ws->x, &ws->state, &ws->gates);
   if (!IsFactored()) {
     // One blocked GEMM over all gathered rows; per row this is the same
-    // beta=0 chain + bias epilogue as StepForwardPacked, so the scattered
-    // logits are bitwise-identical to the single-stream fast path.
+    // beta=0 chain + bias epilogue as ForwardSpan, so the scattered logits
+    // are bitwise-identical to the single-stream workspace route.
     head_.ForwardInference(ws->state.h.back(), &ws->logits);
   }
-}
-
-void SequenceNetwork::Prepack() {
-  lstm_.Prepack();
-  if (!IsFactored()) {
-    head_.Prepack();
-  }
-}
-
-void SequenceNetwork::InvalidatePacked() {
-  lstm_.InvalidatePacked();
-  head_.InvalidatePacked();
-}
-
-bool SequenceNetwork::FastPathReady() const {
-  // Factored heads read their weights unpacked (column-span GEMVs), so only
-  // the recurrent stack needs packing.
-  return lstm_.PackedReady() && (IsFactored() || head_.PackedReady());
 }
 
 std::vector<Matrix*> SequenceNetwork::Params() {
@@ -272,24 +253,6 @@ void SequenceNetwork::Load(std::istream& in) {
   lstm_.Load(in);
   head_.Load(in);
   fhead_ = ClassFactoredHead();
-}
-
-bool SequenceNetwork::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  Save(out);
-  return static_cast<bool>(out);
-}
-
-bool SequenceNetwork::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  Load(in);
-  return true;
 }
 
 }  // namespace cloudgen

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "src/nn/factored_softmax.h"
@@ -40,7 +39,7 @@ struct SequenceNetworkConfig {
 // are reused for every subsequent token, so the steady state performs no heap
 // allocation per step.
 struct StepWorkspace {
-  Matrix gates;  // (1, 4*hidden): packed gate pre/post-activations.
+  Matrix gates;  // (1, 4*hidden): [i|f|g|o] gate pre/post-activations.
   Matrix acc;    // (1, max(4*hidden, output)): GEMV accumulator scratch.
   // Sampling-side buffers owned here so model generators stay allocation-free
   // too (softmax probabilities, hazard/PMF conversions).
@@ -84,20 +83,18 @@ class SequenceNetwork {
   void BackwardSequence(const std::vector<Matrix>& dlogits);
 
   // Generation-time single-step inference. `state` persists across calls.
-  // With a workspace and packed weights ready (FastPathReady()), a batch-1
-  // step takes the zero-allocation packed route; outputs are bitwise-identical
-  // to the reference route. Without a workspace (or when the fast path is not
-  // applicable) it falls back to the allocating reference path.
+  // A batch-1 step given a workspace takes the zero-allocation workspace
+  // route, which reads the parameters in place and needs no preparation
+  // after construction, Load() or a write through Params(). Without a
+  // workspace (or for batch > 1) it takes the allocating reference route;
+  // both routes are bitwise-identical.
   LstmState MakeState(size_t batch = 1) const;
   void StepLogits(const Matrix& x, LstmState* state, Matrix* logits,
                   StepWorkspace* ws = nullptr) const;
 
   // Recurrent-only single step (no output head); the caller samples from
-  // state->h.back() afterwards. Takes the packed zero-allocation route when
-  // `ws` is provided and the LSTM packs are ready (batch-1 only), the
-  // allocating reference route otherwise — both bitwise-identical. This is
-  // the generation step for factored heads, which never materialize full
-  // logits.
+  // state->h.back() afterwards. Same two routes as StepLogits. This is the
+  // generation step for factored heads, which never materialize full logits.
   void StepRecurrent(const Matrix& x, LstmState* state,
                      StepWorkspace* ws = nullptr) const;
 
@@ -110,23 +107,16 @@ class SequenceNetwork {
   // bitwise-identical to a single-stream StepLogits/StepRecurrent on that
   // stream alone (per-element GEMM chains are batch-size independent).
   //
-  // Concurrency: both calls are const and read only the (eagerly prepacked)
-  // weights; all mutable scratch lives in `ws`. Concurrent callers with
-  // distinct workspaces — one BatchStepWorkspace pair per shard in the
-  // sharded generation scheduler — are safe and share nothing.
+  // Concurrency: both calls are const and only read the weights; all
+  // mutable scratch lives in `ws`. Concurrent callers with distinct
+  // workspaces — one BatchStepWorkspace pair per shard in the sharded
+  // generation scheduler — are safe and share nothing.
   void EnsureBatchStep(size_t rows, BatchStepWorkspace* ws) const;
   void StepBatch(BatchStepWorkspace* ws) const;
 
   bool IsFactored() const { return config_.factored_clusters > 0; }
   // Valid only when IsFactored().
   const ClassFactoredHead& FactoredHead() const { return fhead_; }
-
-  // Packed-weight management for the generation fast path. Prepack() must be
-  // called after the last parameter update (training code and LoadFromFile do
-  // this); any mutable parameter access invalidates the packs.
-  void Prepack();
-  void InvalidatePacked();
-  bool FastPathReady() const;
 
   std::vector<Matrix*> Params();
   std::vector<const Matrix*> Params() const;
@@ -136,10 +126,13 @@ class SequenceNetwork {
 
   void Save(std::ostream& out) const;
   void Load(std::istream& in);
-  bool SaveToFile(const std::string& path) const;
-  bool LoadFromFile(const std::string& path);
 
  private:
+  // The workspace route's LSTM step: when `ws` is given and the step is
+  // batch-1, shapes `ws`, advances `state` without allocating and returns
+  // true; otherwise returns false and touches nothing.
+  bool StepWorkspaceRoute(const Matrix& x, LstmState* state, StepWorkspace* ws) const;
+
   SequenceNetworkConfig config_;
   StackedLstm lstm_;
   Linear head_;              // Dense head; default-empty when factored.

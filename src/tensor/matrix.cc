@@ -560,12 +560,8 @@ void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const M
   RunTiled(trans_a, trans_b, alpha, a, b, c, k);
 }
 
-void GemvAccumulate(const float* x, size_t k, const float* w, size_t n, float* acc) {
-  GemvStrip(1.0f, x, 1, k, w, n, n, acc);
-}
-
-void GemvAccumulateStrided(const float* x, size_t k, const float* w, size_t ldw,
-                           size_t n, float* acc) {
+void GemvAccumulate(const float* x, size_t k, const float* w, size_t ldw, size_t n,
+                    float* acc) {
   GemvStrip(1.0f, x, 1, k, w, ldw, n, acc);
 }
 
@@ -587,30 +583,6 @@ void GemmReference(bool trans_a, bool trans_b, float alpha, const Matrix& a,
     RefGemmNT(alpha, a, b, c);
   } else {
     RefGemmTT(alpha, a, b, c);
-  }
-}
-
-std::vector<float> RowSums(const Matrix& m) {
-  std::vector<float> sums(m.Rows(), 0.0f);
-  for (size_t r = 0; r < m.Rows(); ++r) {
-    const float* row = m.Row(r);
-    float acc = 0.0f;
-    for (size_t c = 0; c < m.Cols(); ++c) {
-      acc += row[c];
-    }
-    sums[r] = acc;
-  }
-  return sums;
-}
-
-void AddRowBroadcast(Matrix* m, const std::vector<float>& bias) {
-  CG_CHECK(m != nullptr);
-  CG_CHECK(bias.size() == m->Cols());
-  for (size_t r = 0; r < m->Rows(); ++r) {
-    float* row = m->Row(r);
-    for (size_t c = 0; c < m->Cols(); ++c) {
-      row[c] += bias[c];
-    }
   }
 }
 

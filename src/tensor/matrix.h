@@ -96,22 +96,17 @@ void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const M
 
 // acc[j] += sum_p x[p] * w(p, j) for j in [0, n), with p strictly ascending —
 // one accumulation chain per element, the same chain the blocked NN kernels
-// produce for a one-row A with alpha = 1. `w` is row-major with n columns;
-// `acc` is accumulated into, not zeroed. This is the building block of the
-// packed-weight inference step (src/nn): callers keep a preallocated `acc`
-// and add it to the destination afterwards, reproducing Gemm's
-// ApplyBeta-then-accumulate epilogue bit for bit.
-void GemvAccumulate(const float* x, size_t k, const float* w, size_t n, float* acc);
-
-// Column-span variant: acc[j] += sum_p x[p] * w(p, c0 + j) for j in [0, n),
-// where `w` points at column c0 of a row-major matrix with row stride `ldw`.
-// The per-element chains are position-independent (chunking only groups
-// output columns; each element is still one p-ascending chain), so a span's
-// outputs are bitwise-identical to the same columns of a full-width
-// GemvAccumulate call. This is what lets the class-factored softmax evaluate
-// one cluster's slice of the output layer without touching the rest.
-void GemvAccumulateStrided(const float* x, size_t k, const float* w, size_t ldw,
-                           size_t n, float* acc);
+// produce for a one-row A with alpha = 1. `w` points at the first column of a
+// row-major span with row stride `ldw` (>= n); `acc` is accumulated into, not
+// zeroed. This is the batch-1 inference step's kernel (src/nn): callers keep a
+// preallocated `acc` and add it to the destination afterwards, reproducing
+// Gemm's ApplyBeta-then-accumulate epilogue bit for bit. The per-element
+// chains are position-independent (chunking only groups output columns), so a
+// column span of a wider matrix is bitwise-identical to the same columns of a
+// full-width call — which lets the class-factored softmax evaluate one
+// cluster's slice of the output layer without touching the rest.
+void GemvAccumulate(const float* x, size_t k, const float* w, size_t ldw, size_t n,
+                    float* acc);
 
 // Reference implementation: the original plain i-k-j kernels, single
 // threaded and unblocked. Kept as the correctness oracle for the blocked
@@ -119,12 +114,6 @@ void GemvAccumulateStrided(const float* x, size_t k, const float* w, size_t ldw,
 // summation order.
 void GemmReference(bool trans_a, bool trans_b, float alpha, const Matrix& a,
                    const Matrix& b, float beta, Matrix* c);
-
-// out[r] = sum_c m(r, c) — row sums into a vector of length Rows().
-std::vector<float> RowSums(const Matrix& m);
-
-// Adds `bias` (length Cols()) to every row of `m`.
-void AddRowBroadcast(Matrix* m, const std::vector<float>& bias);
 
 // Binary serialization (shape + raw floats).
 void WriteMatrix(std::ostream& out, const Matrix& m);

@@ -16,7 +16,7 @@
 //   read_truncate A checkpoint/model payload read behaves as if truncated.
 //   nan_grad      A NaN is planted in the gradients before an optimizer step.
 //   gen_nan_logit A NaN is planted in a generation step's logits right after
-//                 the packed fast-path network step, exercising the numeric
+//                 the network's workspace-route step, exercising the numeric
 //                 guards (src/core/gen_guard.h). The guard's fallback path
 //                 recomputes through the reference route, which is *not*
 //                 poisoned, so --guard=fallback completes bitwise-identically

@@ -1,6 +1,8 @@
-// Enforces the zero-allocation guarantee of the packed generation fast path:
-// once a generator's workspace buffers are warm, stepping the network and
-// sampling the next token must perform no heap allocation at all.
+// Enforces the zero-allocation guarantee of the generation step's workspace
+// route: once a generator's workspace buffers are warm, stepping the network
+// and sampling the next token must perform no heap allocation at all — for
+// any network, with no preparation step after construction, Load() or a
+// write through Params().
 //
 // The check instruments the global allocator: operator new/new[] bump an
 // atomic counter while a test has counting enabled. Assertions run strictly
@@ -8,6 +10,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,20 +68,20 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 namespace cloudgen {
 namespace {
 
-SequenceNetwork MakeNetwork(Rng& rng, size_t input_dim, size_t output_dim) {
+SequenceNetwork MakeNetwork(Rng& rng, size_t input_dim, size_t output_dim,
+                            size_t factored_clusters = 0) {
   SequenceNetworkConfig config;
   config.input_dim = input_dim;
   config.hidden_dim = 24;
   config.num_layers = 2;
   config.output_dim = output_dim;
+  config.factored_clusters = factored_clusters;
   return SequenceNetwork(config, rng);
 }
 
 TEST(AllocFree, PackedStepLogitsSteadyStateAllocatesNothing) {
   Rng rng(31);
   SequenceNetwork network = MakeNetwork(rng, 8, 9);
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
 
   LstmState state = network.MakeState(1);
   StepWorkspace ws;
@@ -96,7 +101,56 @@ TEST(AllocFree, PackedStepLogitsSteadyStateAllocatesNothing) {
     }
     allocations = counter.Stop();
   }
-  EXPECT_EQ(allocations, 0u) << "packed step path allocated on the heap";
+  EXPECT_EQ(allocations, 0u) << "workspace step route allocated on the heap";
+}
+
+// A network needs no preparation step: straight from its constructor, right
+// after a weight write through Params(), and fresh from Load(), the
+// workspace route steps dense (StepLogits) and factored (StepRecurrent)
+// networks without touching the heap.
+TEST(AllocFree, WorkspaceRouteNeedsNoPreparation) {
+  for (const size_t clusters : {size_t{0}, size_t{3}}) {
+    for (const std::string origin : {"constructed", "params", "loaded"}) {
+      SCOPED_TRACE(origin + (clusters > 0 ? " factored" : " dense"));
+      Rng rng(36);
+      SequenceNetwork network = MakeNetwork(rng, 8, 9, clusters);
+      if (origin == "loaded") {
+        std::stringstream stream;
+        network.Save(stream);
+        SequenceNetwork loaded;
+        loaded.Load(stream);
+        network = std::move(loaded);
+      }
+      LstmState state = network.MakeState(1);
+      StepWorkspace ws;
+      Matrix x(1, 8);
+      x.RandomUniform(rng, 1.0f);
+      Matrix logits;
+      const auto step = [&] {
+        if (network.IsFactored()) {
+          network.StepRecurrent(x, &state, &ws);
+        } else {
+          network.StepLogits(x, &state, &logits, &ws);
+        }
+      };
+      for (int i = 0; i < 4; ++i) {
+        step();  // Warm-up sizes the workspace and logits buffers.
+      }
+      if (origin == "params") {
+        network.Params()[0]->Data()[0] += 0.25f;
+      }
+
+      size_t allocations = 0;
+      {
+        AllocationCounter counter;
+        for (int i = 0; i < 64; ++i) {
+          step();
+        }
+        allocations = counter.Stop();
+      }
+      EXPECT_EQ(allocations, 0u) << "workspace step route allocated on the heap";
+    }
+  }
 }
 
 // The full per-token hot loop of a flavor generator: encode the previous
@@ -107,8 +161,6 @@ TEST(AllocFree, FullTokenLoopSteadyStateAllocatesNothing) {
   const size_t num_flavors = 6;
   FlavorInputEncoder encoder(FlavorVocab(num_flavors), TemporalFeatureEncoder(2));
   SequenceNetwork network = MakeNetwork(rng, encoder.Dim(), num_flavors + 1);
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
 
   LstmState state = network.MakeState(1);
   StepWorkspace ws;
@@ -149,8 +201,6 @@ TEST(AllocFree, FullTokenLoopSteadyStateAllocatesNothing) {
 TEST(AllocFree, BatchedStepSteadyStateAllocatesNothing) {
   Rng rng(35);
   SequenceNetwork network = MakeNetwork(rng, 8, 9);
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
 
   BatchStepWorkspace ws;
   constexpr size_t kMaxRows = 16;  // High-water batch size.

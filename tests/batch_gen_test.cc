@@ -16,6 +16,7 @@
 #include "src/synth/synthetic_cloud.h"
 #include "src/trace/trace.h"
 #include "src/util/check.h"
+#include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -308,23 +309,33 @@ TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
                    "auto shards threads=4");
 }
 
-// The reference (unpacked) step route must agree with the packed fast path
-// inside the batched engine too, not just single-stream.
-TEST(BatchGenIdentity, PackedAndReferenceRoutesAgreeWhenBatched) {
-  WorkloadModel model;  // Private copy: this test mutates pack state.
-  Rng rng(42);
-  SetGlobalThreads(1);
-  ASSERT_TRUE(model.Train(TrainingTrace(), TinyConfig(), rng).ok());
-  const WorkloadModel::GenerateOptions options = BaseOptions();
+// --guard=fallback recomputes a poisoned step on the reference
+// (no-workspace) route. With every step poisoned inside the batched engine,
+// each step's output comes from that route, and the traces must still equal
+// the clean run byte for byte — for the dense and the factored head.
+TEST(BatchGenIdentity, FallbackRouteRecoversBitwiseWhenBatched) {
+  WorkloadModel::GenerateOptions options = BaseOptions();
+  options.guard = GuardPolicy::kFallback;
   constexpr size_t kCount = 8;
-
-  const std::vector<Trace> packed =
-      GenerateAt(model, options, kCount, /*window=*/4, /*threads=*/1);
-  model.InvalidatePackedForTest();
-  const std::vector<Trace> reference =
-      GenerateAt(model, options, kCount, /*window=*/4, /*threads=*/1);
-  model.PrepackForTest();
-  ExpectSameTraces(packed, reference, "packed vs reference batched");
+  obs::Counter& fallbacks = obs::Registry::Global().GetCounter("gen.guard.fallbacks");
+  for (const WorkloadModel* model : {&DenseModel(), &FactoredModel()}) {
+    const std::string what =
+        model->FlavorModel().Network().IsFactored() ? "factored" : "dense";
+    const std::vector<Trace> clean =
+        GenerateAt(*model, options, kCount, /*window=*/4, /*threads=*/1);
+    const uint64_t before = fallbacks.Value();
+    std::vector<Trace> recovered;
+    {
+      struct DisarmOnExit {
+        ~DisarmOnExit() { FaultInjector::Global().Disarm(); }
+      } disarm;
+      ASSERT_TRUE(FaultInjector::Global().Configure("gen_nan_logit:1.0").ok());
+      recovered = GenerateAt(*model, options, kCount, /*window=*/4, /*threads=*/1);
+    }
+    EXPECT_FALSE(FaultInjector::Global().Armed(FaultKind::kGenNanLogit));
+    EXPECT_GT(fallbacks.Value(), before) << what;
+    ExpectSameTraces(clean, recovered, what + " fallback window=4");
+  }
 }
 
 }  // namespace

@@ -194,7 +194,6 @@ SequenceNetwork MakeFactoredNetwork(Rng& rng) {
 TEST(SequenceNetwork, FactoredStepBatchRowsBitwiseMatchStepRecurrent) {
   Rng rng(75);
   SequenceNetwork network = MakeFactoredNetwork(rng);
-  network.Prepack();
   ASSERT_TRUE(network.IsFactored());
 
   constexpr size_t kRows = 5;
@@ -228,7 +227,6 @@ TEST(SequenceNetwork, FactoredStepBatchRowsBitwiseMatchStepRecurrent) {
 TEST(SequenceNetwork, FactoredSaveLoadRoundTripPreservesHeadAndSteps) {
   Rng rng(76);
   SequenceNetwork network = MakeFactoredNetwork(rng);
-  network.Prepack();
 
   std::stringstream buf;
   network.Save(buf);

@@ -85,7 +85,7 @@ TEST(FlavorLstm, TrainEvaluateBeatsMultinomial) {
   const Fixture fixture;
   FlavorLstmModel model;
   Rng rng(5);
-  model.Train(fixture.train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, 2, TinyConfig(), rng).ok());
   ASSERT_TRUE(model.IsTrained());
   EXPECT_GT(model.NumParameters(), 1000u);
 
@@ -116,7 +116,7 @@ TEST(FlavorLstm, GeneratorEmitsRequestedBatches) {
   const Fixture fixture;
   FlavorLstmModel model;
   Rng rng(6);
-  model.Train(fixture.train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, 2, TinyConfig(), rng).ok());
 
   FlavorLstmModel::Generator generator(model, 2);
   Rng gen_rng(7);
@@ -137,7 +137,7 @@ TEST(FlavorLstm, GeneratedBatchesAreSticky) {
   const Fixture fixture;
   FlavorLstmModel model;
   Rng rng(8);
-  model.Train(fixture.train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, 2, TinyConfig(), rng).ok());
 
   FlavorLstmModel::Generator generator(model, 2);
   Rng gen_rng(9);
@@ -184,7 +184,7 @@ TEST(FlavorLstm, SaveLoadPreservesEvaluation) {
   const Fixture fixture;
   FlavorLstmModel model;
   Rng rng(10);
-  model.Train(fixture.train, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, 2, TinyConfig(), rng).ok());
   const std::string path = ::testing::TempDir() + "/cg_flavor_model.bin";
   ASSERT_TRUE(model.SaveToFile(path).ok());
 

@@ -58,7 +58,7 @@ class IntegrationTest : public ::testing::Test {
     splits_ = new TraceSplits(SplitTrace(*full_, train_end, dev_end, full_->WindowEnd()));
     model_ = new WorkloadModel();
     Rng rng(1234);
-    model_->Train(splits_->train, MiniConfig(), rng);
+    ASSERT_TRUE(model_->Train(splits_->train, MiniConfig(), rng).ok());
   }
 
   static void TearDownTestSuite() {

@@ -80,7 +80,7 @@ TEST(LifetimeLstm, TrainEvaluateBeatsPerFlavorKm) {
   const Fixture fixture;
   LifetimeLstmModel model;
   Rng rng(11);
-  model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng).ok());
   ASSERT_TRUE(model.IsTrained());
 
   const LifetimeLstmModel::EvalResult lstm = model.Evaluate(fixture.test);
@@ -100,7 +100,7 @@ TEST(LifetimeLstm, PredictHazardsShape) {
   const Fixture fixture;
   LifetimeLstmModel model;
   Rng rng(12);
-  model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng).ok());
   const auto hazards = model.PredictHazards(fixture.test);
   ASSERT_EQ(hazards.size(), fixture.test.NumJobs());
   for (const auto& hazard : hazards) {
@@ -117,7 +117,7 @@ TEST(LifetimeLstm, GeneratorSamplesValidBins) {
   const Fixture fixture;
   LifetimeLstmModel model;
   Rng rng(13);
-  model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng).ok());
 
   LifetimeLstmModel::Generator generator(model, 2);
   Rng gen_rng(14);
@@ -133,7 +133,7 @@ TEST(LifetimeLstm, PmfHeadTrainsAndEvaluates) {
   LifetimeModelConfig config = TinyConfig();
   config.head = LifetimeHead::kPmf;
   Rng rng(16);
-  model.Train(fixture.train, fixture.binning, 2, config, rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, config, rng).ok());
   const auto eval = model.Evaluate(fixture.test);
   ASSERT_GT(eval.uncensored_steps, 100u);
   EXPECT_GT(eval.job_nll, 0.0);
@@ -155,7 +155,7 @@ TEST(LifetimeLstm, HeadSurvivesSaveLoad) {
   config.head = LifetimeHead::kPmf;
   config.epochs = 2;
   Rng rng(17);
-  model.Train(fixture.train, fixture.binning, 2, config, rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, config, rng).ok());
   const std::string path = ::testing::TempDir() + "/cg_pmf_model.bin";
   ASSERT_TRUE(model.SaveToFile(path).ok());
   LifetimeLstmModel loaded;
@@ -170,7 +170,7 @@ TEST(LifetimeLstm, SaveLoadPreservesEvaluation) {
   const Fixture fixture;
   LifetimeLstmModel model;
   Rng rng(15);
-  model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, fixture.binning, 2, TinyConfig(), rng).ok());
   const std::string path = ::testing::TempDir() + "/cg_lifetime_model.bin";
   ASSERT_TRUE(model.SaveToFile(path).ok());
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -286,15 +287,15 @@ INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmSmallMNanTest,
 
 TEST(GemvAccumulate, AccumulatesOnTopOfExistingValues) {
   // Contract: acc[j] += sum_p x[p] * W(p, j), without zeroing acc first. The
-  // bitwise guarantees of the fast path are pinned by the Gemm small-M suite
-  // above and the packed-step tests in nn_test; here we check the accumulate
-  // semantics numerically.
+  // bitwise guarantees of the workspace step are pinned by the Gemm small-M
+  // suite above and the workspace-route tests in nn_test; here we check the
+  // accumulate semantics numerically.
   Rng rng(11);
   const Matrix x = RandomMatrix(1, 9, rng);
   const Matrix w = RandomMatrix(9, 13, rng);
   const Matrix acc0 = RandomMatrix(1, 13, rng);
   Matrix acc = acc0;
-  GemvAccumulate(x.Row(0), 9, w.Row(0), 13, acc.Row(0));
+  GemvAccumulate(x.Row(0), 9, w.Row(0), 13, 13, acc.Row(0));
   for (size_t j = 0; j < 13; ++j) {
     double expected = acc0.At(0, j);
     for (size_t p = 0; p < 9; ++p) {
@@ -302,6 +303,20 @@ TEST(GemvAccumulate, AccumulatesOnTopOfExistingValues) {
     }
     EXPECT_NEAR(acc.At(0, j), expected, 1e-4);
   }
+
+  // A column span of a wider matrix (row stride ldw > n, first column > 0)
+  // is bitwise-identical to the same columns of a full-width call, although
+  // the kernel's register chunks fall on different columns in the two calls.
+  constexpr size_t kWide = 150;
+  constexpr size_t kFirst = 37;
+  constexpr size_t kSpan = 90;
+  const Matrix wide = RandomMatrix(9, kWide, rng);
+  const Matrix wide_acc0 = RandomMatrix(1, kWide, rng);
+  Matrix full = wide_acc0;
+  GemvAccumulate(x.Row(0), 9, wide.Row(0), kWide, kWide, full.Row(0));
+  std::vector<float> span(wide_acc0.Row(0) + kFirst, wide_acc0.Row(0) + kFirst + kSpan);
+  GemvAccumulate(x.Row(0), 9, wide.Row(0) + kFirst, kWide, kSpan, span.data());
+  EXPECT_EQ(std::memcmp(span.data(), full.Row(0) + kFirst, kSpan * sizeof(float)), 0);
 }
 
 TEST(Gemm, BetaZeroOverwritesGarbage) {
@@ -313,20 +328,6 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   for (size_t i = 0; i < c.Size(); ++i) {
     EXPECT_FALSE(std::isnan(c.Data()[i]));
   }
-}
-
-TEST(Matrix, RowSumsAndBroadcast) {
-  Matrix m(2, 3);
-  m(0, 0) = 1.0f;
-  m(0, 1) = 2.0f;
-  m(0, 2) = 3.0f;
-  m(1, 0) = -1.0f;
-  const std::vector<float> sums = RowSums(m);
-  EXPECT_FLOAT_EQ(sums[0], 6.0f);
-  EXPECT_FLOAT_EQ(sums[1], -1.0f);
-  AddRowBroadcast(&m, {10.0f, 20.0f, 30.0f});
-  EXPECT_FLOAT_EQ(m(0, 0), 11.0f);
-  EXPECT_FLOAT_EQ(m(1, 2), 30.0f);
 }
 
 TEST(Matrix, SerializationRoundTrip) {

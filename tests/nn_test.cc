@@ -458,7 +458,7 @@ TEST(SequenceNetwork, SaveLoadRoundTrip) {
   }
 }
 
-// The packed fast path promises *bitwise* identity with the reference step
+// The workspace route promises *bitwise* identity with the reference step
 // route, so these comparisons use memcmp on the raw float storage rather than
 // EXPECT_FLOAT_EQ (which would treat -0.0f and +0.0f as equal).
 bool BitwiseEqual(const Matrix& a, const Matrix& b) {
@@ -471,8 +471,6 @@ TEST(LstmLayer, StepForwardFastBitwiseMatchesStepForward) {
   const size_t in_dim = 9;
   const size_t hidden = 11;
   LstmLayer layer(in_dim, hidden, rng);
-  layer.Prepack();
-  ASSERT_TRUE(layer.PackedReady());
 
   Matrix h_ref(1, hidden);
   Matrix c_ref(1, hidden);
@@ -497,8 +495,6 @@ TEST(StackedLstm, StepForwardFastBitwiseMatchesStepForward) {
   const size_t hidden = 10;
   const size_t layers = 3;
   StackedLstm stack(in_dim, hidden, layers, rng);
-  stack.Prepack();
-  ASSERT_TRUE(stack.PackedReady());
 
   LstmState ref_state = stack.ZeroState(1);
   LstmState fast_state = stack.ZeroState(1);
@@ -529,8 +525,6 @@ TEST(SequenceNetwork, PackedStepLogitsBitwiseMatchesReference) {
   config.num_layers = 2;
   config.output_dim = 17;
   SequenceNetwork network(config, rng);
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
 
   LstmState ref_state = network.MakeState(1);
   LstmState fast_state = network.MakeState(1);
@@ -541,7 +535,7 @@ TEST(SequenceNetwork, PackedStepLogitsBitwiseMatchesReference) {
     Matrix x(1, config.input_dim);
     x.RandomUniform(rng, 2.0f);
     network.StepLogits(x, &ref_state, &ref_logits);          // Reference route.
-    network.StepLogits(x, &fast_state, &fast_logits, &ws);   // Packed route.
+    network.StepLogits(x, &fast_state, &fast_logits, &ws);   // Workspace route.
     ASSERT_TRUE(BitwiseEqual(ref_logits, fast_logits)) << "logits diverged at step " << t;
     for (size_t l = 0; l < config.num_layers; ++l) {
       ASSERT_TRUE(BitwiseEqual(ref_state.h[l], fast_state.h[l]))
@@ -552,7 +546,7 @@ TEST(SequenceNetwork, PackedStepLogitsBitwiseMatchesReference) {
   }
 }
 
-TEST(SequenceNetwork, MutableParamsInvalidatePackAndFallbackStaysBitwise) {
+TEST(SequenceNetwork, WorkspaceRouteSeesWeightsWrittenThroughParams) {
   Rng rng(10);
   SequenceNetworkConfig config;
   config.input_dim = 5;
@@ -560,38 +554,27 @@ TEST(SequenceNetwork, MutableParamsInvalidatePackAndFallbackStaysBitwise) {
   config.num_layers = 2;
   config.output_dim = 4;
   SequenceNetwork network(config, rng);
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
-
-  // Mutable parameter access must conservatively drop the packs: a caller may
-  // write through the returned pointers at any time.
-  auto params = network.Params();
-  ASSERT_FALSE(network.FastPathReady());
-  params[0]->Data()[0] += 0.25f;  // Actually change a weight.
-
-  // With the pack invalid, a workspace-carrying call silently falls back to
-  // the reference route and still sees the updated weights.
-  LstmState ref_state = network.MakeState(1);
-  LstmState ws_state = network.MakeState(1);
   StepWorkspace ws;
-  Matrix ref_logits;
-  Matrix ws_logits;
   Matrix x(1, config.input_dim);
   x.RandomUniform(rng, 1.0f);
+  Matrix before_logits;
+  LstmState before_state = network.MakeState(1);
+  network.StepLogits(x, &before_state, &before_logits, &ws);
+
+  // A caller may write through the returned pointers at any time; the next
+  // workspace step must see the new weight, bitwise equal to the reference.
+  network.Params()[0]->Data()[0] += 0.25f;
+  LstmState ref_state = network.MakeState(1);
+  LstmState ws_state = network.MakeState(1);
+  Matrix ref_logits;
+  Matrix ws_logits;
   network.StepLogits(x, &ref_state, &ref_logits);
   network.StepLogits(x, &ws_state, &ws_logits, &ws);
+  EXPECT_FALSE(BitwiseEqual(before_logits, ws_logits)) << "weight write not seen";
   EXPECT_TRUE(BitwiseEqual(ref_logits, ws_logits));
-
-  // Re-packing after the update restores the fast path, bitwise again.
-  network.Prepack();
-  ASSERT_TRUE(network.FastPathReady());
-  LstmState fast_state = network.MakeState(1);
-  Matrix fast_logits;
-  network.StepLogits(x, &fast_state, &fast_logits, &ws);
-  EXPECT_TRUE(BitwiseEqual(ref_logits, fast_logits));
 }
 
-TEST(SequenceNetwork, LoadInvalidatesPackAndPrepackRestoresBitwise) {
+TEST(SequenceNetwork, LoadedNetworkWorkspaceRouteMatchesOriginal) {
   Rng rng(11);
   SequenceNetworkConfig config;
   config.input_dim = 4;
@@ -599,16 +582,12 @@ TEST(SequenceNetwork, LoadInvalidatesPackAndPrepackRestoresBitwise) {
   config.num_layers = 2;
   config.output_dim = 5;
   SequenceNetwork network(config, rng);
-  network.Prepack();
 
   std::stringstream stream;
   network.Save(stream);
   SequenceNetwork loaded;
   loaded.Load(stream);
-  EXPECT_FALSE(loaded.FastPathReady()) << "Load must invalidate any stale pack";
 
-  loaded.Prepack();
-  ASSERT_TRUE(loaded.FastPathReady());
   Matrix x(1, config.input_dim);
   x.RandomUniform(rng, 1.0f);
   LstmState ref_state = network.MakeState(1);
