@@ -325,11 +325,12 @@ void StreamServer::HandleConnection(Socket conn) {
     (void)WriteFrame(conn, FrameType::kError, EncodeErrorPayload(status),
                      options_.io_timeout_ms, nullptr);
   }
-  conn.Close();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_conns_;
-  }
+  // The lease and watchdog entry went with the session, so the linger holds
+  // only this thread and fd (see the failure model in server.h).
+  conn.CloseAfterPeer(options_.io_timeout_ms, &drain_);
+  // Notify under the lock: once Wait() sees zero it may destroy conn_cv_.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  --active_conns_;
   conn_cv_.notify_all();
 }
 
@@ -715,6 +716,12 @@ Status StreamServer::RunStreamSession(Socket& conn, const Frame& open) {
       if (!send_status.ok()) {
         break;
       }
+      // Rows whose last byte this session sent; a resumed session never
+      // re-counts the prefix the client already had.
+      counters.rows_sent.Add(static_cast<uint64_t>(
+          std::count(buffer.begin() + static_cast<std::ptrdiff_t>(pos),
+                     buffer.begin() + static_cast<std::ptrdiff_t>(pos + chunk),
+                     '\n')));
       pos += chunk;
       credit -= static_cast<int64_t>(chunk);
       sent = offset + pos;
@@ -742,7 +749,6 @@ Status StreamServer::RunStreamSession(Socket& conn, const Frame& open) {
     offset = trace_end;
     rows += trace_rows;
     next_trace += chunk_traces;
-    counters.rows_sent.Add(trace_rows);
   }
 
   std::map<std::string, std::string> end_kv;

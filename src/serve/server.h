@@ -44,6 +44,11 @@
 //    offset plus deterministic regeneration.
 //  * Generation guard trips and injected faults are contained per
 //    connection; the daemon itself never dies from a stream error.
+//  * Session end: every connection ends with a lingering close
+//    (Socket::CloseAfterPeer): half-close, discard what the peer still sends
+//    until its EOF, for at most io_timeout_ms or until a drain, then close.
+//    A plain close with a CREDIT still unread would send RST and could drop
+//    the END or ERROR frame in flight.
 #ifndef SRC_SERVE_SERVER_H_
 #define SRC_SERVE_SERVER_H_
 
@@ -147,8 +152,6 @@ class StreamServer {
   const ServeLimits& limits() const { return registry_.limits(); }
 
  private:
-  class StreamSession;
-
   // Watchdog view of one running stream session. `working` is true while
   // the session owes the client bytes (generating or sending); it is false
   // while blocked on client credit — a slow consumer is the idle-timeout's

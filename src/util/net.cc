@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -87,6 +88,42 @@ void Socket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void Socket::CloseAfterPeer(int timeout_ms, const CancelToken* cancel) {
+  if (fd_ >= 0 && ::shutdown(fd_, SHUT_WR) == 0) {
+    // A wall-clock deadline, not a PollSlice budget. A budget charged per
+    // poll never runs out for a peer that writes without pause (recv() never
+    // reports EAGAIN), and runs out early for one that writes in bursts
+    // (each wake-up costs a whole slice).
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(std::max(0, timeout_ms));
+    char discard[16 << 10];
+    for (;;) {
+      const ssize_t r = ::recv(fd_, discard, sizeof(discard), MSG_DONTWAIT);
+      if (r == 0) {
+        break;  // Peer EOF: nothing unread remains, so close sends no RST.
+      }
+      if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        break;  // Reset or otherwise dead; nothing left to protect.
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      if (left <= 0 || (cancel != nullptr && cancel->Poll())) {
+        break;
+      }
+      if (r < 0) {
+        struct pollfd pfd;
+        pfd.fd = fd_;
+        pfd.events = POLLIN;
+        pfd.revents = 0;
+        (void)::poll(&pfd, 1,
+                     static_cast<int>(std::min<int64_t>(left, kPollSliceMs)));
+      }
+    }
+  }
+  Close();
 }
 
 void Socket::ShutdownBoth() {

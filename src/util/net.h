@@ -49,6 +49,14 @@ class Socket {
 
   // Closes the descriptor (idempotent).
   void Close();
+  // Lingering close: shutdown(SHUT_WR) so the peer gets a FIN after every
+  // byte already written, then read and discard whatever the peer still
+  // sends until its EOF, `timeout_ms` of wall-clock time, or `cancel` fires
+  // (noticed within one <=100ms poll slice), then Close(). A plain Close()
+  // with unread bytes in the receive buffer makes the kernel send RST, which
+  // drops anything still queued for the peer — such as a final END or ERROR
+  // frame. The discard reads bypass the fault injector.
+  void CloseAfterPeer(int timeout_ms, const CancelToken* cancel);
   // shutdown(2) both directions without closing; peers observe EOF. Used by
   // fault injection so a "dropped" connection looks like a real drop.
   void ShutdownBoth();

@@ -366,11 +366,11 @@ class ServeTest : public ::testing::Test {
 
   // The oracle: exactly what `cloudgen generate --seed kSeed --traces kCount`
   // serializes, via the legacy vector route.
-  static std::string ExpectedBytes(uint64_t seed = kSeed,
-                                   uint64_t count = kCount) {
+  static std::string ExpectedBytes(
+      uint64_t seed = kSeed, uint64_t count = kCount,
+      const WorkloadModel::GenerateOptions& gen = GenOptions()) {
     Rng rng(seed);
-    const std::vector<Trace> traces =
-        model_->GenerateMany(GenOptions(), count, rng);
+    const std::vector<Trace> traces = model_->GenerateMany(gen, count, rng);
     std::string out;
     for (size_t i = 0; i < traces.size(); ++i) {
       for (const Job& job : traces[i].Jobs()) {
@@ -419,6 +419,41 @@ class ServeTest : public ::testing::Test {
     PutU64Le(&payload, bytes);
     ASSERT_TRUE(
         WriteFrame(conn, FrameType::kCredit, payload, 2000, nullptr).ok());
+  }
+
+  // Reads DATA frames until END (a raw session that was granted enough
+  // credit for the whole stream).
+  static void ReadToEnd(Socket& conn) {
+    for (;;) {
+      Frame frame;
+      ASSERT_TRUE(ReadFrame(conn, &frame, 5000, nullptr).ok());
+      if (frame.type == FrameType::kEnd) {
+        return;
+      }
+      ASSERT_EQ(frame.type, FrameType::kData);
+    }
+  }
+
+  // Writes `frames` CREDIT frames in one write. A server still lingering
+  // after END reads and discards them; once it has closed, its kernel
+  // answers with RST and the next write fails.
+  static Status WriteCredits(Socket& conn, size_t frames) {
+    std::string one;
+    PutU64Le(&one, 1);
+    std::string batch;
+    for (size_t i = 0; i < frames; ++i) {
+      batch.push_back(static_cast<char>(one.size()));
+      batch.append(3, '\0');
+      batch.push_back(static_cast<char>(FrameType::kCredit));
+      batch += one;
+    }
+    return WriteFully(conn, batch.data(), batch.size(), 2000, nullptr);
+  }
+
+  static int64_t MsSince(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
   }
 
   static size_t CheckpointFilesIn(const std::string& dir) {
@@ -499,14 +534,20 @@ TEST_F(ServeTest, ResumeFromMidStreamOffsetYieldsTheExactSuffix) {
   fetch.start_offset = offset;
   fetch.start_crc_state =
       Crc32Update(kCrc32Init, expected.data(), static_cast<size_t>(offset));
+  const double rows_before = CounterValue("serve.rows.sent");
   std::ostringstream out;
   FetchResult result;
   const Status status = FetchStream(fetch, out, &result);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(out.str(), expected.substr(static_cast<size_t>(offset)));
+  const std::string suffix = expected.substr(static_cast<size_t>(offset));
+  EXPECT_EQ(out.str(), suffix);
   EXPECT_EQ(result.bytes, expected.size() - offset);
   EXPECT_EQ(result.total_bytes, expected.size());
   EXPECT_EQ(result.crc, Crc32(expected));  // Whole-stream CRC across the seam.
+  // serve.rows.sent counts rows whose last byte this session sent: the
+  // prefix the client already had is skipped, not counted again.
+  EXPECT_EQ(CounterValue("serve.rows.sent") - rows_before,
+            static_cast<double>(std::count(suffix.begin(), suffix.end(), '\n')));
 }
 
 TEST_F(ServeTest, QuotaAndCapacityRejectsAreStructuredResourceExhausted) {
@@ -964,6 +1005,151 @@ TEST_F(ServeTest, ComposedConnDropStallAndIoWriteFaultsInOneSoak) {
   EXPECT_GT(drops, 0u);
   EXPECT_GT(io_writes, 0u);
   EXPECT_GE(result.reconnects, 1);
+}
+
+// A stream longer than half the client's credit window but shorter than the
+// window ends with one CREDIT grant the server never needs to read. A plain
+// close over that unread frame makes the kernel send RST, which can destroy
+// END in flight: the client then reconnects at its final offset and the
+// server regenerates the whole stream from trace 0 to reach it.
+TEST_F(ServeTest, FaultFreeStreamsInsideTheCreditWindowNeverReconnect) {
+  // Two regeneration chunks of 8 traces, about 192 KiB in all: the middle of
+  // the default 256 KiB window.
+  constexpr uint64_t kTraces = 16;
+  ServerOptions server_options = BaseServerOptions();
+  server_options.gen.to_period = 104;
+  const std::string expected =
+      ExpectedBytes(kSeed, kTraces, server_options.gen);
+  const size_t window = FetchOptions().credit_bytes;
+  ASSERT_GT(expected.size(), window / 2 + window / 8);
+  ASSERT_LT(expected.size(), window - window / 8);
+  const double rows =
+      static_cast<double>(std::count(expected.begin(), expected.end(), '\n'));
+
+  StreamServer server(model_, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  const double jobs_before = CounterValue("gen.jobs");
+  constexpr int kFetches = 12;
+  int reconnects = 0;
+  for (int i = 0; i < kFetches; ++i) {
+    FetchOptions fetch = BaseFetchOptions(server.Port());
+    fetch.traces = kTraces;
+    std::ostringstream out;
+    FetchResult result;
+    const Status status = FetchStream(fetch, out, &result);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(out.str(), expected) << "fetch " << i;
+    reconnects += result.reconnects;
+  }
+  EXPECT_EQ(reconnects, 0);
+  // Every generated job was delivered once: nothing was regenerated.
+  EXPECT_EQ(CounterValue("gen.jobs") - jobs_before, kFetches * rows);
+}
+
+TEST_F(ServeTest, LingeringCloseFreesTheSlotAtEndAndHalfClosesCleanly) {
+  ServerOptions server_options = BaseServerOptions();
+  server_options.io_timeout_ms = 1000;
+  StreamServer server(model_, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Socket conn = RawOpenOrDie(server.Port(), "acme", "lingerer");
+  GrantCredit(conn, 1u << 30);
+  ASSERT_NO_FATAL_FAILURE(ReadToEnd(conn));
+  const auto end_at = std::chrono::steady_clock::now();
+
+  // The lease went with the session: a lingering connection holds no slot.
+  WaitForActiveStreams(server, 0);
+  EXPECT_LT(MsSince(end_at), server_options.io_timeout_ms);
+  // The half-close sent FIN right behind END: a clean EOF, not a reset.
+  Frame frame;
+  bool clean = false;
+  const Status eof = ReadFrame(conn, &frame, 5000, nullptr, &clean);
+  EXPECT_EQ(eof.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(clean) << eof.ToString();
+  EXPECT_LT(MsSince(end_at), server_options.io_timeout_ms + 100);
+  // While the server lingers, what the peer still sends is discarded. A
+  // closed server would answer the first write with RST and fail the second.
+  ASSERT_TRUE(WriteCredits(conn, 1).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(WriteCredits(conn, 1).ok());
+
+  // A peer that then stays silent is closed at the deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      server_options.io_timeout_ms + 500 - MsSince(end_at)));
+  (void)WriteCredits(conn, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(WriteCredits(conn, 1).ok());
+}
+
+TEST_F(ServeTest, LingeringCloseEndsAtTheDeadlineWhileThePeerKeepsWriting) {
+  ServerOptions server_options = BaseServerOptions();
+  server_options.io_timeout_ms = 1000;
+  StreamServer server(model_, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Socket conn = RawOpenOrDie(server.Port(), "acme", "chatterer");
+  GrantCredit(conn, 1u << 30);
+  ASSERT_NO_FATAL_FAILURE(ReadToEnd(conn));
+  const auto end_at = std::chrono::steady_clock::now();
+
+  // Keep the server's receive buffer full, so its discard reads never come
+  // up empty: only a wall-clock deadline ends this linger.
+  Status status = OkStatus();
+  while (status.ok() && MsSince(end_at) < 4 * server_options.io_timeout_ms) {
+    status = WriteCredits(conn, 4096);
+  }
+  const int64_t closed_after_ms = MsSince(end_at);
+  EXPECT_FALSE(status.ok()) << "server still reading " << closed_after_ms
+                            << "ms after END";
+  EXPECT_GE(closed_after_ms, server_options.io_timeout_ms / 2);
+  // The deadline, one 100 ms poll slice, and slack for a loaded machine.
+  EXPECT_LE(closed_after_ms, server_options.io_timeout_ms + 100 + 400);
+}
+
+TEST_F(ServeTest, DrainCutsALingeringCloseShort) {
+  ServerOptions server_options = BaseServerOptions();
+  server_options.io_timeout_ms = 20000;
+  StreamServer server(model_, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Socket conn = RawOpenOrDie(server.Port(), "acme", "lingerer");
+  GrantCredit(conn, 1u << 30);
+  ASSERT_NO_FATAL_FAILURE(ReadToEnd(conn));
+  WaitForActiveStreams(server, 0);
+
+  // The peer holds its end open; the drain must not wait out the linger.
+  const auto drain_at = std::chrono::steady_clock::now();
+  server.RequestDrain();
+  EXPECT_TRUE(server.Wait().ok());
+  EXPECT_LT(MsSince(drain_at), 2000);
+}
+
+TEST_F(ServeTest, GuardTripMidStreamIsInternalAndTheServerKeepsServing) {
+  const std::string expected = ExpectedBytes();
+  StreamServer server(model_, BaseServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  const double errors_before = CounterValue("serve.stream.errors");
+
+  // Every generated logit is poisoned; the default guard policy aborts the
+  // stream. INTERNAL is not retryable, so the client must not reconnect.
+  ASSERT_TRUE(FaultInjector::Global().Configure("gen_nan_logit:1.0").ok());
+  std::ostringstream out;
+  FetchResult result;
+  const Status status =
+      FetchStream(BaseFetchOptions(server.Port()), out, &result);
+  FaultInjector::Global().Disarm();
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  EXPECT_NE(status.message().find("guard"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(result.reconnects, 0);
+  EXPECT_GT(CounterValue("serve.stream.errors"), errors_before);
+
+  // The trip poisoned one stream, not the daemon.
+  std::ostringstream next;
+  const Status served =
+      FetchStream(BaseFetchOptions(server.Port()), next, &result);
+  ASSERT_TRUE(served.ok()) << served.ToString();
+  EXPECT_EQ(next.str(), expected);
 }
 
 }  // namespace
