@@ -12,6 +12,7 @@
 #include "src/core/resource_model.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/util/rng.h"
+#include "src/util/status.h"
 
 using namespace cloudgen;
 
@@ -47,10 +48,19 @@ int main() {
               mem.NumClasses());
 
   MultiResourceLstmModel model;
+  // Smaller and faster-learning than the flavor model's defaults, so the
+  // example trains in a few seconds.
   ResourceModelConfig config;
+  config.hidden_dim = 48;
+  config.num_layers = 1;
   config.epochs = 8;
+  config.learning_rate = 5e-3f;
   Rng rng(3);
-  model.Train(train, cpu, mem, profile.train_days, config, rng);
+  const Status trained = model.Train(train, cpu, mem, profile.train_days, config, rng);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
 
   const auto eval = model.Evaluate(test);
   std::printf("held-out NLL: cpu %.3f + mem|cpu %.3f = joint %.3f over %zu jobs\n",

@@ -42,6 +42,7 @@ namespace cloudgen {
 inline constexpr uint32_t kCheckpointStageFlavor = kSealFlavorCheckpoint;
 inline constexpr uint32_t kCheckpointStageLifetime = kSealLifetimeCheckpoint;
 inline constexpr uint32_t kCheckpointStageSingleLstm = kSealSingleLstmCheckpoint;
+inline constexpr uint32_t kCheckpointStageResource = kSealResourceCheckpoint;
 
 struct TrainRecoveryConfig {
   // Checkpoint file path; empty keeps snapshots in memory only (the watchdog

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "src/core/gen_checkpoint.h"
 #include "src/core/trainer.h"
@@ -151,6 +152,14 @@ Status TrainTokenNetwork(const FlavorStream& stream, const FlavorInputEncoder& e
 
 Status FlavorLstmModel::Train(const Trace& train, int history_days,
                               const FlavorModelConfig& config, Rng& rng) {
+  constexpr TrainerIdentity kTrainer{"train.flavor", "train.flavor_epoch", "flavor LSTM",
+                                     kCheckpointStageFlavor};
+  return Train(train, history_days, config, FactoredVocabMap(), kTrainer, rng);
+}
+
+Status FlavorLstmModel::Train(const Trace& train, int history_days,
+                              const FlavorModelConfig& config, FactoredVocabMap map,
+                              const TrainerIdentity& trainer, Rng& rng) {
   config_ = config;
   encoder_ = std::make_unique<FlavorInputEncoder>(FlavorVocab(train.NumFlavors()),
                                                   TemporalFeatureEncoder(history_days));
@@ -160,15 +169,13 @@ Status FlavorLstmModel::Train(const Trace& train, int history_days,
   net_config.num_layers = config.num_layers;
   net_config.output_dim = encoder_->Vocab().NumTokens();
   net_config.factored_clusters = config.factored_clusters;
-  network_ = SequenceNetwork(net_config, rng);
+  network_ = SequenceNetwork(net_config, rng, std::move(map));
 
   const FlavorStream stream = BuildFlavorStream(train, history_days);
   if (stream.tokens.empty()) {
-    return InvalidArgumentError("flavor training stream is empty");
+    return InvalidArgumentError(StrFormat("%s training stream is empty", trainer.label));
   }
-  constexpr TrainerIdentity kTrainer{"train.flavor", "train.flavor_epoch", "flavor LSTM",
-                                     kCheckpointStageFlavor};
-  return TrainTokenNetwork(stream, *encoder_, config, kTrainer, &network_, rng);
+  return TrainTokenNetwork(stream, *encoder_, config, trainer, &network_, rng);
 }
 
 FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {

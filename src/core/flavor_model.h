@@ -82,6 +82,13 @@ class FlavorLstmModel {
   // with INVALID_ARGUMENT on an empty training stream.
   Status Train(const Trace& train, int history_days, const FlavorModelConfig& config,
                Rng& rng);
+  // The training body behind Train, for models that reuse the flavor model
+  // on a vocabulary of their own (src/core/resource_model.h): a non-empty
+  // `map` lays out the factored head in place of config.factored_clusters
+  // (SequenceNetwork's constructor), and `trainer` names the run, its
+  // telemetry and its checkpoints.
+  Status Train(const Trace& train, int history_days, const FlavorModelConfig& config,
+               FactoredVocabMap map, const TrainerIdentity& trainer, Rng& rng);
 
   bool IsTrained() const { return encoder_ != nullptr; }
   const FlavorVocab& Vocab() const;

@@ -2,43 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "src/nn/losses.h"
+#include "src/nn/activations.h"
 #include "src/util/check.h"
-#include "src/util/log.h"
-#include "src/util/rng.h"
-#include "src/util/strings.h"
 
 namespace cloudgen {
 namespace {
 
-// Softmax sampling / scoring over a logits row.
-size_t SampleRow(const Matrix& logits, size_t row, Rng& rng) {
-  const float* data = logits.Row(row);
-  const size_t n = logits.Cols();
-  float max_v = data[0];
-  for (size_t c = 1; c < n; ++c) {
-    max_v = std::max(max_v, data[c]);
-  }
-  std::vector<double> probs(n);
-  for (size_t c = 0; c < n; ++c) {
-    probs[c] = std::exp(static_cast<double>(data[c] - max_v));
-  }
-  return rng.Categorical(probs);
-}
-
-double RowLogProb(const Matrix& logits, size_t row, size_t target) {
-  const float* data = logits.Row(row);
-  const size_t n = logits.Cols();
-  float max_v = data[0];
-  for (size_t c = 1; c < n; ++c) {
-    max_v = std::max(max_v, data[c]);
-  }
-  double sum = 0.0;
-  for (size_t c = 0; c < n; ++c) {
-    sum += std::exp(static_cast<double>(data[c] - max_v));
-  }
-  return static_cast<double>(data[target] - max_v) - std::log(sum);
+// log softmax(x[0..n))[i]; `weights` is scratch.
+double LogSoftmaxAt(const float* x, size_t n, size_t i, std::vector<double>* weights) {
+  const double sum = MaxShiftedExp(x, n, weights);
+  return std::log((*weights)[i] / sum);
 }
 
 }  // namespace
@@ -64,219 +39,65 @@ size_t ResourceQuantizer::ClassOf(double value) const {
   return (value - levels_[lo]) <= (levels_[hi] - value) ? lo : hi;
 }
 
-size_t MultiResourceLstmModel::InputDim() const {
-  return (cpu_->NumClasses() + 1) + mem_->NumClasses() + temporal_->Dim();
-}
-
-void MultiResourceLstmModel::EncodeInput(bool prev_is_eob, const ResourceRequest& prev,
-                                         int64_t period, int doh_day, float* out) const {
-  const size_t cpu_block = cpu_->NumClasses() + 1;
-  std::fill(out, out + InputDim(), 0.0f);
-  if (prev_is_eob) {
-    out[cpu_block - 1] = 1.0f;  // EOB marker; memory block stays zero.
-  } else {
-    out[prev.cpu_class] = 1.0f;
-    out[cpu_block + prev.mem_class] = 1.0f;
+Trace MultiResourceLstmModel::OnGrid(const Trace& trace) const {
+  const size_t m = mem_->NumClasses();
+  FlavorCatalog grid(cpu_->NumClasses() * m);
+  for (size_t k = 0; k < grid.size(); ++k) {
+    grid[k].id = static_cast<int32_t>(k);
+    grid[k].cpus = cpu_->ValueOf(k / m);
+    grid[k].memory_gb = mem_->ValueOf(k % m);
   }
-  temporal_->EncodeInto(period, doh_day, out + cpu_block + mem_->NumClasses());
-}
-
-void MultiResourceLstmModel::EncodeMemInput(const Matrix& hidden, size_t row,
-                                            size_t cpu_class, Matrix* out) const {
-  const size_t h = hidden.Cols();
-  CG_CHECK(out->Cols() == h + cpu_->NumClasses());
-  float* dst = out->Row(row);
-  const float* src = hidden.Row(row);
-  std::copy(src, src + h, dst);
-  std::fill(dst + h, dst + h + cpu_->NumClasses(), 0.0f);
-  dst[h + cpu_class] = 1.0f;
-}
-
-std::vector<MultiResourceLstmModel::Step> MultiResourceLstmModel::BuildStream(
-    const Trace& trace) const {
-  std::vector<Step> stream;
-  const std::vector<PeriodBatches> periods = BuildBatches(trace);
-  const int64_t start_day = trace.WindowStart() / kPeriodsPerDay;
-  for (const PeriodBatches& period : periods) {
-    const PeriodCalendar cal = DecomposePeriod(period.period);
-    const int doh =
-        std::clamp(static_cast<int>(cal.day_index - start_day) + 1, 1, history_days_);
-    for (const Batch& batch : period.batches) {
-      for (size_t idx : batch.job_indices) {
-        const Flavor& flavor =
-            trace.Flavors()[static_cast<size_t>(trace.Jobs()[idx].flavor)];
-        Step step;
-        step.period = period.period;
-        step.doh_day = doh;
-        step.is_eob = false;
-        step.request.cpu_class = cpu_->ClassOf(flavor.cpus);
-        step.request.mem_class = mem_->ClassOf(flavor.memory_gb);
-        stream.push_back(step);
-      }
-      Step eob;
-      eob.period = period.period;
-      eob.doh_day = doh;
-      eob.is_eob = true;
-      stream.push_back(eob);
-    }
+  Trace out(std::move(grid), trace.WindowStart(), trace.WindowEnd());
+  for (Job job : trace.Jobs()) {
+    const Flavor& flavor = trace.Flavors()[static_cast<size_t>(job.flavor)];
+    job.flavor =
+        static_cast<int32_t>(cpu_->ClassOf(flavor.cpus) * m + mem_->ClassOf(flavor.memory_gb));
+    out.Add(job);
   }
-  return stream;
+  return out;
 }
 
-void MultiResourceLstmModel::Train(const Trace& train, const ResourceQuantizer& cpu,
-                                   const ResourceQuantizer& mem, int history_days,
-                                   const ResourceModelConfig& config, Rng& rng) {
+Status MultiResourceLstmModel::Train(const Trace& train, const ResourceQuantizer& cpu,
+                                     const ResourceQuantizer& mem, int history_days,
+                                     const ResourceModelConfig& config, Rng& rng) {
   cpu_ = std::make_unique<ResourceQuantizer>(cpu);
   mem_ = std::make_unique<ResourceQuantizer>(mem);
-  temporal_ = std::make_unique<TemporalFeatureEncoder>(history_days);
-  config_ = config;
   history_days_ = history_days;
-
-  lstm_ = StackedLstm(InputDim(), config.hidden_dim, config.num_layers, rng);
-  cpu_head_ = Linear(config.hidden_dim, cpu_->NumClasses() + 1, rng);
-  mem_head_ = Linear(config.hidden_dim + cpu_->NumClasses(), mem_->NumClasses(), rng);
-
-  const std::vector<Step> stream = BuildStream(train);
-  CG_CHECK_MSG(!stream.empty(), "empty resource training stream");
-
-  std::vector<Matrix*> params = lstm_.Params();
-  std::vector<Matrix*> grads = lstm_.Grads();
-  for (Matrix* p : cpu_head_.Params()) {
-    params.push_back(p);
+  // Cluster c holds CPU class c's memory classes; the last holds EOB alone.
+  FactoredVocabMap map;
+  for (size_t c = 0; c <= cpu.NumClasses(); ++c) {
+    map.offsets.push_back(static_cast<int32_t>(c * mem.NumClasses()));
   }
-  for (Matrix* g : cpu_head_.Grads()) {
-    grads.push_back(g);
-  }
-  for (Matrix* p : mem_head_.Params()) {
-    params.push_back(p);
-  }
-  for (Matrix* g : mem_head_.Grads()) {
-    grads.push_back(g);
-  }
-  AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  adam_config.weight_decay = config.weight_decay;
-  adam_config.clip_norm = config.clip_norm;
-  Adam optimizer(params, grads, adam_config);
-
-  // Layout: complete (seq_len x batch) minibatches, sequences contiguous.
-  size_t seq_len = config.seq_len;
-  while (seq_len > 1 && stream.size() / seq_len == 0) {
-    seq_len /= 2;
-  }
-  const size_t num_seqs = stream.size() / seq_len;
-  const size_t batch = std::min(config.batch_size, num_seqs);
-  const size_t minibatches = num_seqs / batch;
-  CG_CHECK(minibatches > 0);
-
-  const size_t eob_cpu_class = cpu_->NumClasses();
-  std::vector<Matrix> inputs(seq_len);
-  std::vector<Matrix> hidden;
-  std::vector<Matrix> dhidden(seq_len);
-  Matrix cpu_logits;
-  Matrix mem_logits;
-  Matrix mem_input(batch, config.hidden_dim + cpu_->NumClasses());
-  Matrix dcpu;
-  Matrix dmem;
-  Matrix dmem_input;
-
-  for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    double epoch_loss = 0.0;
-    for (size_t mb = 0; mb < minibatches; ++mb) {
-      // Assemble inputs and targets.
-      std::vector<std::vector<int32_t>> cpu_targets(seq_len,
-                                                    std::vector<int32_t>(batch));
-      std::vector<std::vector<int32_t>> mem_targets(seq_len,
-                                                    std::vector<int32_t>(batch));
-      for (size_t t = 0; t < seq_len; ++t) {
-        inputs[t].Resize(batch, InputDim());
-        for (size_t b = 0; b < batch; ++b) {
-          const size_t idx = (mb * batch + b) * seq_len + t;
-          const bool first = idx == 0;
-          const Step& step = stream[idx];
-          const Step* prev = first ? nullptr : &stream[idx - 1];
-          EncodeInput(first || prev->is_eob, first ? ResourceRequest{} : prev->request,
-                      step.period, step.doh_day, inputs[t].Row(b));
-          cpu_targets[t][b] = step.is_eob ? static_cast<int32_t>(eob_cpu_class)
-                                          : static_cast<int32_t>(step.request.cpu_class);
-          mem_targets[t][b] = step.is_eob ? kIgnoreTarget
-                                          : static_cast<int32_t>(step.request.mem_class);
-        }
-      }
-
-      lstm_.ZeroGrads();
-      cpu_head_.ZeroGrads();
-      mem_head_.ZeroGrads();
-      lstm_.ForwardSequence(inputs, &hidden);
-
-      double loss = 0.0;
-      for (size_t t = 0; t < seq_len; ++t) {
-        // CPU head.
-        cpu_head_.Forward(hidden[t], &cpu_logits);
-        loss += SoftmaxCrossEntropy(cpu_logits, cpu_targets[t], &dcpu);
-        dcpu.Scale(1.0f / static_cast<float>(seq_len));
-        cpu_head_.Backward(dcpu, &dhidden[t]);
-
-        // Memory head, teacher-forced on the true CPU class.
-        mem_input.Resize(batch, config.hidden_dim + cpu_->NumClasses());
-        for (size_t b = 0; b < batch; ++b) {
-          const size_t cls = cpu_targets[t][b] == static_cast<int32_t>(eob_cpu_class)
-                                 ? 0
-                                 : static_cast<size_t>(cpu_targets[t][b]);
-          EncodeMemInput(hidden[t], b, cls, &mem_input);
-        }
-        mem_head_.Forward(mem_input, &mem_logits);
-        loss += SoftmaxCrossEntropy(mem_logits, mem_targets[t], &dmem);
-        dmem.Scale(1.0f / static_cast<float>(seq_len));
-        mem_head_.Backward(dmem, &dmem_input);
-        // The hidden-state slice of the memory-head input gradient flows back
-        // into the LSTM alongside the CPU head's gradient.
-        for (size_t b = 0; b < batch; ++b) {
-          const float* src = dmem_input.Row(b);
-          float* dst = dhidden[t].Row(b);
-          for (size_t h = 0; h < config.hidden_dim; ++h) {
-            dst[h] += src[h];
-          }
-        }
-      }
-      lstm_.BackwardSequence(dhidden);
-      optimizer.Step();
-      epoch_loss += loss / static_cast<double>(seq_len);
-    }
-    CG_LOG_DEBUG(StrFormat("resource LSTM epoch %zu/%zu: loss=%.4f", epoch + 1,
-                           config.epochs, epoch_loss / static_cast<double>(minibatches)));
-  }
-  trained_ = true;
+  map.offsets.push_back(map.offsets.back() + 1);
+  constexpr TrainerIdentity kTrainer{"train.resource", "train.resource_epoch", "resource LSTM",
+                                     kCheckpointStageResource};
+  return joint_.Train(OnGrid(train), history_days, config, std::move(map), kTrainer, rng);
 }
 
 MultiResourceLstmModel::EvalResult MultiResourceLstmModel::Evaluate(const Trace& test) const {
-  CG_CHECK(trained_);
-  const std::vector<Step> stream = BuildStream(test);
+  CG_CHECK(IsTrained());
+  const FlavorStream stream = BuildFlavorStream(OnGrid(test), history_days_);
+  const FlavorInputEncoder encoder(joint_.Vocab(), TemporalFeatureEncoder(history_days_));
+  const SequenceNetwork& network = joint_.Network();
+  const size_t clusters = network.FactoredHead().NumClusters();
+  const size_t m = mem_->NumClasses();
+  const size_t eob = encoder.Vocab().EobToken();
+  LstmState state = network.MakeState(1);
+  Matrix input(1, encoder.Dim());
+  Matrix row;  // The head's concat [u | v].
+  std::vector<double> weights;
   EvalResult result;
-  if (stream.empty()) {
-    return result;
-  }
-  LstmState state = lstm_.ZeroState(1);
-  Matrix input(1, InputDim());
-  Matrix hidden;
-  Matrix cpu_logits;
-  Matrix mem_input(1, lstm_.HiddenDim() + cpu_->NumClasses());
-  Matrix mem_logits;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const Step& step = stream[i];
-    const Step* prev = i == 0 ? nullptr : &stream[i - 1];
-    EncodeInput(prev == nullptr || prev->is_eob,
-                prev == nullptr ? ResourceRequest{} : prev->request, step.period,
-                step.doh_day, input.Row(0));
-    lstm_.StepForward(input, &state, &hidden);
-    if (step.is_eob) {
+  for (size_t step = 0; step < stream.tokens.size(); ++step) {
+    const size_t prev = step == 0 ? eob : static_cast<size_t>(stream.tokens[step - 1]);
+    encoder.EncodeInto(prev, stream.periods[step], stream.doh_days[step], input.Row(0));
+    network.StepLogits(input, &state, &row);
+    const auto token = static_cast<size_t>(stream.tokens[step]);
+    if (token == eob) {
       continue;  // Chain-rule NLL over resource steps only.
     }
-    cpu_head_.ForwardInference(hidden, &cpu_logits);
-    result.cpu_nll -= RowLogProb(cpu_logits, 0, step.request.cpu_class);
-    EncodeMemInput(hidden, 0, step.request.cpu_class, &mem_input);
-    mem_head_.ForwardInference(mem_input, &mem_logits);
-    result.mem_nll -= RowLogProb(mem_logits, 0, step.request.mem_class);
+    const size_t cpu = token / m;
+    result.cpu_nll -= LogSoftmaxAt(row.Row(0), clusters, cpu, &weights);
+    result.mem_nll -= LogSoftmaxAt(row.Row(0) + clusters + cpu * m, m, token % m, &weights);
     ++result.steps;
   }
   if (result.steps > 0) {
@@ -288,51 +109,20 @@ MultiResourceLstmModel::EvalResult MultiResourceLstmModel::Evaluate(const Trace&
 }
 
 MultiResourceLstmModel::Generator::Generator(const MultiResourceLstmModel& model, int doh_day)
-    : model_(model), doh_day_(doh_day), state_(model.lstm_.ZeroState(1)) {
-  CG_CHECK(model.trained_);
-}
+    : tokens_(model.joint_, doh_day), mem_classes_(model.mem_->NumClasses()) {}
 
 std::vector<std::vector<ResourceRequest>> MultiResourceLstmModel::Generator::GeneratePeriod(
     int64_t period, int64_t n_batches, Rng& rng, size_t max_jobs) {
-  std::vector<std::vector<ResourceRequest>> batches;
-  if (n_batches <= 0) {
-    return batches;
+  tokens_.StartPeriod(period, n_batches, max_jobs);
+  while (tokens_.PeriodActive()) {
+    tokens_.StepToken(rng);
   }
-  const size_t eob = model_.cpu_->NumClasses();
-  Matrix input(1, model_.InputDim());
-  Matrix hidden;
-  Matrix cpu_logits;
-  Matrix mem_input(1, model_.lstm_.HiddenDim() + model_.cpu_->NumClasses());
-  Matrix mem_logits;
-  batches.emplace_back();
-  size_t total_jobs = 0;
-  while (static_cast<int64_t>(batches.size()) <= n_batches) {
-    model_.EncodeInput(prev_is_eob_, prev_, period, doh_day_, input.Row(0));
-    model_.lstm_.StepForward(input, &state_, &hidden);
-    model_.cpu_head_.ForwardInference(hidden, &cpu_logits);
-    size_t cpu_class = SampleRow(cpu_logits, 0, rng);
-    if (cpu_class == eob && batches.back().empty()) {
-      cpu_class = 0;  // Batches are never empty (as in the flavor model).
-    }
-    if (cpu_class == eob) {
-      prev_is_eob_ = true;
-      if (static_cast<int64_t>(batches.size()) == n_batches) {
-        break;
-      }
-      batches.emplace_back();
-      continue;
-    }
-    model_.EncodeMemInput(hidden, 0, cpu_class, &mem_input);
-    model_.mem_head_.ForwardInference(mem_input, &mem_logits);
-    ResourceRequest request;
-    request.cpu_class = cpu_class;
-    request.mem_class = SampleRow(mem_logits, 0, rng);
-    batches.back().push_back(request);
-    prev_ = request;
-    prev_is_eob_ = false;
-    if (++total_jobs >= max_jobs) {
-      CG_LOG_WARN("resource generator hit the per-period job cap; truncating period");
-      break;
+  std::vector<std::vector<ResourceRequest>> batches;
+  for (const std::vector<int32_t>& tokens : tokens_.TakeBatches()) {
+    std::vector<ResourceRequest>& batch = batches.emplace_back();
+    for (const int32_t token : tokens) {
+      const auto joint = static_cast<size_t>(token);
+      batch.push_back({joint / mem_classes_, joint % mem_classes_});
     }
   }
   return batches;

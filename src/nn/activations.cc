@@ -17,8 +17,6 @@ float SigmoidScalar(float x) {
   return z / (1.0f + z);
 }
 
-float TanhScalar(float x) { return std::tanh(x); }
-
 void SigmoidInPlace(Matrix* m) {
   CG_CHECK(m != nullptr);
   float* data = m->Data();
@@ -32,27 +30,6 @@ void TanhInPlace(Matrix* m) {
   float* data = m->Data();
   for (size_t i = 0; i < m->Size(); ++i) {
     data[i] = std::tanh(data[i]);
-  }
-}
-
-void SoftmaxRowsInPlace(Matrix* logits) {
-  CG_CHECK(logits != nullptr);
-  for (size_t r = 0; r < logits->Rows(); ++r) {
-    float* row = logits->Row(r);
-    const size_t n = logits->Cols();
-    float max_v = row[0];
-    for (size_t c = 1; c < n; ++c) {
-      max_v = std::max(max_v, row[c]);
-    }
-    float sum = 0.0f;
-    for (size_t c = 0; c < n; ++c) {
-      row[c] = std::exp(row[c] - max_v);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (size_t c = 0; c < n; ++c) {
-      row[c] *= inv;
-    }
   }
 }
 

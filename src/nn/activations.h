@@ -1,4 +1,5 @@
-// Element-wise activations and the row-softmax used by the flavor model.
+// Element-wise activations and the max-shifted exponentials behind every
+// sampler softmax.
 #ifndef SRC_NN_ACTIVATIONS_H_
 #define SRC_NN_ACTIVATIONS_H_
 
@@ -10,15 +11,10 @@
 namespace cloudgen {
 
 float SigmoidScalar(float x);
-float TanhScalar(float x);
 
 // In-place element-wise sigmoid / tanh.
 void SigmoidInPlace(Matrix* m);
 void TanhInPlace(Matrix* m);
-
-// Row-wise numerically-stable softmax: each row of `logits` becomes a
-// probability distribution.
-void SoftmaxRowsInPlace(Matrix* logits);
 
 // Max-shifted exponentials of a logits row, the shared front half of every
 // sampler softmax: out[c] = exp(double(row[c] - max(row))) for c in [0, n),

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/rng.h"
@@ -20,17 +21,21 @@ constexpr uint64_t kFactoredNetMagic = 0xFAC7'0FED'0000'0001ull;
 
 }  // namespace
 
-SequenceNetwork::SequenceNetwork(const SequenceNetworkConfig& config, Rng& rng)
+SequenceNetwork::SequenceNetwork(const SequenceNetworkConfig& config, Rng& rng,
+                                 FactoredVocabMap map)
     : config_(config),
       lstm_(config.input_dim, config.hidden_dim, config.num_layers, rng) {
   CG_CHECK(config.input_dim > 0 && config.output_dim > 0);
   CG_CHECK(config.hidden_dim > 0 && config.num_layers > 0);
-  if (config.factored_clusters > 0) {
-    fhead_ = ClassFactoredHead(
-        config.hidden_dim,
-        MakeBalancedVocabMap(config.output_dim, config.factored_clusters), rng);
-    // The map clamps the cluster count into [1, output_dim]; mirror that in
-    // the config so Save/Load round-trips the effective value.
+  if (map.NumClusters() == 0 && config.factored_clusters > 0) {
+    map = MakeBalancedVocabMap(config.output_dim, config.factored_clusters);
+  }
+  if (map.NumClusters() > 0) {
+    CG_CHECK(map.NumTokens() == config.output_dim);
+    fhead_ = ClassFactoredHead(config.hidden_dim, std::move(map), rng);
+    // The balanced map clamps the cluster count into [1, output_dim], and an
+    // explicit map brings its own; mirror it in the config so Save/Load
+    // round-trips the effective value.
     config_.factored_clusters = fhead_.NumClusters();
   } else {
     head_ = Linear(config.hidden_dim, config.output_dim, rng);

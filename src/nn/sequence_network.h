@@ -70,7 +70,10 @@ struct BatchStepWorkspace {
 class SequenceNetwork {
  public:
   SequenceNetwork() = default;
-  SequenceNetwork(const SequenceNetworkConfig& config, Rng& rng);
+  // A non-empty `map` (over output_dim tokens) lays out a class-factored head
+  // and overrides config.factored_clusters; an empty one keeps the config's
+  // head: dense at 0, else MakeBalancedVocabMap's balanced clusters.
+  SequenceNetwork(const SequenceNetworkConfig& config, Rng& rng, FactoredVocabMap map = {});
 
   const SequenceNetworkConfig& Config() const { return config_; }
 

@@ -32,12 +32,6 @@ void Matrix::Fill(float value) {
   }
 }
 
-void Matrix::Reshape(size_t rows, size_t cols) {
-  CG_CHECK(rows * cols == data_.size());
-  rows_ = rows;
-  cols_ = cols;
-}
-
 void Matrix::Resize(size_t rows, size_t cols) {
   rows_ = rows;
   cols_ = cols;

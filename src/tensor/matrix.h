@@ -40,9 +40,6 @@ class Matrix {
   void Fill(float value);
   void SetZero() { Fill(0.0f); }
 
-  // Reshapes in place; total element count must be preserved.
-  void Reshape(size_t rows, size_t cols);
-
   // Resizes, discarding contents (zero-filled).
   void Resize(size_t rows, size_t cols);
 

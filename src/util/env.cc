@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 namespace cloudgen {
+namespace {
 
 double GetEnvDouble(const std::string& name, double fallback) {
   const char* value = std::getenv(name.c_str());
@@ -17,6 +18,8 @@ double GetEnvDouble(const std::string& name, double fallback) {
   }
   return parsed;
 }
+
+}  // namespace
 
 long GetEnvLong(const std::string& name, long fallback) {
   const char* value = std::getenv(name.c_str());

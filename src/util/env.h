@@ -11,11 +11,10 @@
 namespace cloudgen {
 
 // Returns the env var value or `fallback` when unset/invalid.
-double GetEnvDouble(const std::string& name, double fallback);
 long GetEnvLong(const std::string& name, long fallback);
 std::string GetEnvString(const std::string& name, const std::string& fallback);
 
-// Shorthand for GetEnvDouble("CLOUDGEN_SCALE", 1.0), clamped to >= 0.05.
+// CLOUDGEN_SCALE as a double (1.0 when unset/invalid), clamped to >= 0.05.
 double ExperimentScale();
 
 }  // namespace cloudgen

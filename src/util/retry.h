@@ -59,30 +59,6 @@ void CountRetry(const std::string& what);
 Status GiveUp(const RetryPolicy& policy, const std::string& what, const Status& last);
 }  // namespace retry_internal
 
-// StatusOr variant of RetryVoid with identical semantics.
-template <typename T>
-StatusOr<T> RetryOr(const RetryPolicy& policy, const std::string& what,
-                    const std::function<StatusOr<T>()>& op,
-                    const CancelToken* cancel = nullptr) {
-  Rng rng(policy.jitter_seed);
-  Status last = OkStatus();
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    StatusOr<T> result = op();
-    if (result.ok() || !IsRetryable(result.status())) {
-      return result;
-    }
-    last = result.status();
-    if (attempt == policy.max_attempts) {
-      break;
-    }
-    retry_internal::CountRetry(what);
-    if (!SleepWithCancel(BackoffSeconds(policy, attempt, rng), cancel)) {
-      return AbortedError(what + " cancelled while backing off: " + last.ToString());
-    }
-  }
-  return retry_internal::GiveUp(policy, what, last);
-}
-
 }  // namespace cloudgen
 
 #endif  // SRC_UTIL_RETRY_H_

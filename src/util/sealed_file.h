@@ -27,6 +27,7 @@ namespace cloudgen {
 inline constexpr uint32_t kSealFlavorCheckpoint = 1;
 inline constexpr uint32_t kSealLifetimeCheckpoint = 2;
 inline constexpr uint32_t kSealSingleLstmCheckpoint = 3;
+inline constexpr uint32_t kSealResourceCheckpoint = 4;
 inline constexpr uint32_t kSealFlavorModel = 100;
 inline constexpr uint32_t kSealLifetimeModel = 101;
 // Generation pipeline artifacts (src/trace/trace_sink.h,

@@ -51,54 +51,4 @@ double Quantile(std::vector<double> values, double q) {
   return QuantileSorted(values, q);
 }
 
-Interval PredictionInterval(std::vector<double> samples, double coverage) {
-  CG_CHECK(coverage > 0.0 && coverage < 1.0);
-  std::sort(samples.begin(), samples.end());
-  const double tail = (1.0 - coverage) / 2.0;
-  return Interval{QuantileSorted(samples, tail), QuantileSorted(samples, 1.0 - tail)};
-}
-
-void RunningStats::Add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::Variance() const {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::StdDev() const { return std::sqrt(Variance()); }
-
-Histogram::Histogram(double lo, double hi, size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  CG_CHECK(bins > 0);
-  CG_CHECK(hi > lo);
-}
-
-void Histogram::Add(double value) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<long>(std::floor((value - lo_) / width));
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::Proportion(size_t bin) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(counts_.at(bin)) / static_cast<double>(total_);
-}
-
 }  // namespace cloudgen

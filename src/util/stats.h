@@ -1,9 +1,8 @@
-// Descriptive statistics used by evaluation code: means, variances, quantiles,
-// prediction-interval helpers, and streaming accumulators.
+// Descriptive statistics used by evaluation code: means, variances and
+// quantiles.
 #ifndef SRC_UTIL_STATS_H_
 #define SRC_UTIL_STATS_H_
 
-#include <cstddef>
 #include <vector>
 
 namespace cloudgen {
@@ -22,55 +21,6 @@ double Quantile(std::vector<double> values, double q);
 
 // Quantile for data already sorted ascending.
 double QuantileSorted(const std::vector<double>& sorted, double q);
-
-// Central prediction interval [lo, hi] covering `coverage` (e.g. 0.9 → 5th and
-// 95th percentiles) of the samples.
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-
-  bool Contains(double v) const { return v >= lo && v <= hi; }
-};
-Interval PredictionInterval(std::vector<double> samples, double coverage);
-
-// Streaming mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void Add(double x);
-  size_t Count() const { return n_; }
-  double Mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double Variance() const;  // Unbiased; 0 for n < 2.
-  double StdDev() const;
-  double Min() const { return min_; }
-  double Max() const { return max_; }
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Fixed-bin histogram over [lo, hi); values outside are clamped to the edge
-// bins. Used for reuse-distance and FFAR summaries.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double value);
-  size_t TotalCount() const { return total_; }
-  size_t BinCount(size_t bin) const { return counts_.at(bin); }
-  size_t NumBins() const { return counts_.size(); }
-  // Fraction of mass in `bin`; 0 if the histogram is empty.
-  double Proportion(size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
-};
 
 }  // namespace cloudgen
 

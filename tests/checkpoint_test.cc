@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 
 #include "src/core/flavor_model.h"
 #include "src/core/lifetime_model.h"
+#include "src/core/resource_model.h"
 #include "src/core/single_lstm_model.h"
 #include "src/survival/binning.h"
 #include "src/synth/synthetic_cloud.h"
@@ -118,9 +120,19 @@ std::string ModelFileBytes(const Model& model) {
   return bytes;
 }
 
+// The distinct values of one resource over the trace's catalog.
+ResourceQuantizer Levels(const Trace& trace, double Flavor::*resource) {
+  std::set<double> levels;
+  for (const Flavor& flavor : trace.Flavors()) {
+    levels.insert(flavor.*resource);
+  }
+  return ResourceQuantizer({levels.begin(), levels.end()});
+}
+
 // One trainer under test: trains a fresh model on `train` with `recovery`
-// and returns the bytes that pin it — its model file, or for the single LSTM
-// (which has no model file) the batches it generates over two days.
+// and returns the bytes that pin it — its model file (for the multi-resource
+// model, its joint-class flavor model's), or for the single LSTM (which has
+// no model file) the batches it generates over two days.
 struct ResumeCase {
   const char* name;
   uint32_t stage_tag;
@@ -178,6 +190,19 @@ std::vector<ResumeCase> ResumeCases() {
              }
              *bytes += '\n';
            }
+         }
+         return trained;
+       }},
+      {"multi-resource", kCheckpointStageResource,
+       [](const Trace& train, const TrainRecoveryConfig& recovery, std::string* bytes) {
+         ResourceModelConfig config = TinyConfig();
+         config.recovery = recovery;
+         MultiResourceLstmModel model;
+         Rng rng(77);
+         const Status trained = model.Train(train, Levels(train, &Flavor::cpus),
+                                            Levels(train, &Flavor::memory_gb), 1, config, rng);
+         if (trained.ok()) {
+           *bytes = ModelFileBytes(model.JointModel());
          }
          return trained;
        }},

@@ -2,7 +2,8 @@
 //
 // Each case serializes its generated jobs with AppendJobRow — the exact bytes
 // the sinks seal and serve streams — and pins their CRC-32 (the single-LSTM
-// ablation, which yields batches of flavors rather than jobs, pins those). The values were
+// ablation and the multi-resource model, which yield batches of flavors or
+// resource requests rather than jobs, pin those). The values were
 // recorded once and must never move: a refactor of the generation loop, the
 // batched engine, the sink path or the checkpoint format that changes a
 // single output byte fails here, even when every route still agrees with
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 
 #include "src/core/arrival_model.h"
 #include "src/core/gen_checkpoint.h"
+#include "src/core/resource_model.h"
 #include "src/core/single_lstm_model.h"
 #include "src/core/workload_model.h"
 #include "src/synth/synthetic_cloud.h"
@@ -314,6 +317,46 @@ TEST(GoldenDigest, SingleLstmPeriods) {
     bytes += '\n';
   }
   ExpectDigest(bytes, 0xc24b6e50u, "single LSTM, one day of periods");
+}
+
+// The multi-resource model trains the flavor model on joint (cpu, mem)
+// classes; its requests are written as text like the single LSTM's batches,
+// each request as "cpu,mem".
+TEST(GoldenDigest, MultiResourcePeriods) {
+  SetGlobalThreads(1);
+  const Trace train = TrainingTrace(AzureLikeProfile(0.4));
+  std::set<double> cpus;
+  std::set<double> mems;
+  for (const Flavor& flavor : train.Flavors()) {
+    cpus.insert(flavor.cpus);
+    mems.insert(flavor.memory_gb);
+  }
+  ResourceModelConfig config;
+  config.hidden_dim = 16;
+  config.num_layers = 1;
+  config.seq_len = 32;
+  config.batch_size = 16;
+  config.epochs = 3;
+  MultiResourceLstmModel model;
+  Rng train_rng(44);
+  ASSERT_TRUE(model
+                  .Train(train, ResourceQuantizer({cpus.begin(), cpus.end()}),
+                         ResourceQuantizer({mems.begin(), mems.end()}), 2, config, train_rng)
+                  .ok());
+  MultiResourceLstmModel::Generator generator(model, 2);
+  Rng rng(16);
+  std::string bytes;
+  for (int64_t p = 3 * kPeriodsPerDay; p < 3 * kPeriodsPerDay + 96; ++p) {
+    bytes += std::to_string(p) + ':';
+    for (const std::vector<ResourceRequest>& batch : generator.GeneratePeriod(p, 2, rng)) {
+      for (const ResourceRequest& request : batch) {
+        bytes += std::to_string(request.cpu_class) + ',' + std::to_string(request.mem_class) + ' ';
+      }
+      bytes += ';';
+    }
+    bytes += '\n';
+  }
+  ExpectDigest(bytes, 0xccedfa2eu, "multi-resource model, 96 periods of 2 batches");
 }
 
 TEST(GoldenDigest, ServeShapedRowRanges) {

@@ -51,16 +51,6 @@ TEST(Matrix, BasicAccessorsAndFill) {
   EXPECT_FLOAT_EQ(m.At(1, 2), 5.0f);
 }
 
-TEST(Matrix, ReshapePreservesData) {
-  Matrix m(2, 3);
-  m(0, 0) = 1.0f;
-  m(1, 2) = 6.0f;
-  m.Reshape(3, 2);
-  EXPECT_EQ(m.Rows(), 3u);
-  EXPECT_FLOAT_EQ(m(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(m(2, 1), 6.0f);  // Row-major layout preserved.
-}
-
 TEST(Matrix, ScaleAddAxpy) {
   Matrix a(2, 2, 1.0f);
   Matrix b(2, 2, 3.0f);

@@ -39,23 +39,6 @@ TEST(Activations, SigmoidStableInTails) {
   EXPECT_NEAR(SigmoidScalar(2.0f), 1.0f / (1.0f + std::exp(-2.0f)), 1e-6);
 }
 
-TEST(Activations, SoftmaxRowsSumToOne) {
-  Matrix logits(2, 4);
-  logits(0, 0) = 1000.0f;  // Stability under large logits.
-  logits(0, 1) = 999.0f;
-  logits(1, 2) = -5.0f;
-  SoftmaxRowsInPlace(&logits);
-  for (size_t r = 0; r < 2; ++r) {
-    float sum = 0.0f;
-    for (size_t c = 0; c < 4; ++c) {
-      EXPECT_GE(logits(r, c), 0.0f);
-      sum += logits(r, c);
-    }
-    EXPECT_NEAR(sum, 1.0f, 1e-5);
-  }
-  EXPECT_GT(logits(0, 0), logits(0, 1));
-}
-
 TEST(Activations, MaxShiftedExpHealthyRowSumsAndOrders) {
   const float row[4] = {1.0f, 2.0f, 0.5f, -3.0f};
   std::vector<double> weights;

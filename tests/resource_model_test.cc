@@ -91,9 +91,23 @@ TEST(MultiResourceLstm, TrainsAndBeatsIndependentBaseline) {
   const Fixture fixture;
   MultiResourceLstmModel model;
   Rng rng(1);
-  model.Train(fixture.train, CpuQuantizerFor(fixture.train), MemQuantizerFor(fixture.train),
-              2, TinyConfig(), rng);
+  const ResourceQuantizer cpu = CpuQuantizerFor(fixture.train);
+  const ResourceQuantizer mem = MemQuantizerFor(fixture.train);
+  ASSERT_TRUE(model.Train(fixture.train, cpu, mem, 2, TinyConfig(), rng).ok());
   ASSERT_TRUE(model.IsTrained());
+
+  // The chained softmax is the factored head: one cluster of the M memory
+  // classes per CPU class, then EOB alone.
+  const SequenceNetwork& network = model.JointModel().Network();
+  ASSERT_TRUE(network.IsFactored());
+  const FactoredVocabMap& map = network.FactoredHead().Map();
+  ASSERT_EQ(map.NumClusters(), cpu.NumClasses() + 1);
+  for (size_t c = 0; c < cpu.NumClasses(); ++c) {
+    EXPECT_EQ(map.SliceBegin(c), c * mem.NumClasses());
+    EXPECT_EQ(map.SliceWidth(c), mem.NumClasses());
+  }
+  EXPECT_EQ(map.SliceWidth(cpu.NumClasses()), 1u);
+  EXPECT_EQ(map.NumTokens(), cpu.NumClasses() * mem.NumClasses() + 1);
 
   const auto eval = model.Evaluate(fixture.test);
   ASSERT_GT(eval.steps, 100u);
@@ -101,8 +115,6 @@ TEST(MultiResourceLstm, TrainsAndBeatsIndependentBaseline) {
   EXPECT_NEAR(eval.joint_nll, eval.cpu_nll + eval.mem_nll, 1e-9);
 
   // Baseline: i.i.d. classes at empirical frequencies — entropy of the joint.
-  const ResourceQuantizer cpu = CpuQuantizerFor(fixture.train);
-  const ResourceQuantizer mem = MemQuantizerFor(fixture.train);
   std::vector<double> joint(cpu.NumClasses() * mem.NumClasses(), 1.0);  // +1 smooth.
   for (const Job& job : fixture.train.Jobs()) {
     const Flavor& flavor = fixture.train.Flavors()[static_cast<size_t>(job.flavor)];
@@ -133,7 +145,7 @@ TEST(MultiResourceLstm, GeneratorProducesValidRequests) {
   Rng rng(2);
   const ResourceQuantizer cpu = CpuQuantizerFor(fixture.train);
   const ResourceQuantizer mem = MemQuantizerFor(fixture.train);
-  model.Train(fixture.train, cpu, mem, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, cpu, mem, 2, TinyConfig(), rng).ok());
 
   MultiResourceLstmModel::Generator generator(model, 2);
   Rng gen_rng(3);
@@ -162,7 +174,7 @@ TEST(MultiResourceLstm, GeneratedCpuMemPairsMatchCatalogCorrelation) {
   Rng rng(4);
   const ResourceQuantizer cpu = CpuQuantizerFor(fixture.train);
   const ResourceQuantizer mem = MemQuantizerFor(fixture.train);
-  model.Train(fixture.train, cpu, mem, 2, TinyConfig(), rng);
+  ASSERT_TRUE(model.Train(fixture.train, cpu, mem, 2, TinyConfig(), rng).ok());
 
   std::set<std::pair<size_t, size_t>> catalog_pairs;
   for (const Flavor& flavor : fixture.train.Flavors()) {

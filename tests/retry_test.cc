@@ -1,5 +1,5 @@
 // Retry-policy semantics: which codes are retryable, the deterministic
-// jittered backoff schedule, RetryVoid/RetryOr attempt accounting, the
+// jittered backoff schedule, RetryVoid attempt accounting, the
 // ABORTED give-up contract, cancellation during a backoff, and the
 // segment-manifest rewrite regression that motivated the helper (a transient
 // io_write fault mid-run must cost a retry, not the run).
@@ -167,29 +167,6 @@ TEST(RetryVoidTest, CancelDuringBackoffAbortsImmediately) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(status.code(), StatusCode::kAborted);
   EXPECT_NE(status.message().find("cancelled while backing off"), std::string::npos);
-}
-
-TEST(RetryOrTest, ReturnsValueAfterTransientFailures) {
-  int calls = 0;
-  const StatusOr<int> result = RetryOr<int>(FastPolicy(5), "probe", [&calls]() -> StatusOr<int> {
-    ++calls;
-    if (calls < 2) {
-      return UnavailableError("not yet");
-    }
-    return 42;
-  });
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value(), 42);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(RetryOrTest, ExhaustedAttemptsBecomeAborted) {
-  const StatusOr<int> result = RetryOr<int>(FastPolicy(2), "probe", []() -> StatusOr<int> {
-    return UnavailableError("still down");
-  });
-  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
-  EXPECT_NE(result.status().message().find("gave up after 2 attempt(s)"),
-            std::string::npos);
 }
 
 // Regression for the satellite that motivated util/retry.h: segment-manifest

@@ -1,4 +1,4 @@
-// Tests for descriptive statistics and interval helpers.
+// Tests for descriptive statistics.
 #include "src/util/stats.h"
 
 #include <cmath>
@@ -33,45 +33,6 @@ TEST(Stats, QuantileInterpolates) {
 
 TEST(Stats, QuantileUnsortedInput) {
   EXPECT_DOUBLE_EQ(Quantile({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
-
-TEST(Stats, PredictionIntervalCoversCentralMass) {
-  std::vector<double> samples;
-  for (int i = 0; i < 1000; ++i) {
-    samples.push_back(static_cast<double>(i));
-  }
-  const Interval interval = PredictionInterval(samples, 0.9);
-  EXPECT_NEAR(interval.lo, 49.95, 0.5);
-  EXPECT_NEAR(interval.hi, 949.05, 0.5);
-  EXPECT_TRUE(interval.Contains(500.0));
-  EXPECT_FALSE(interval.Contains(10.0));
-  EXPECT_FALSE(interval.Contains(990.0));
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  const std::vector<double> v{1.5, -2.0, 0.25, 7.0, 3.5, 3.5};
-  RunningStats rs;
-  for (double x : v) {
-    rs.Add(x);
-  }
-  EXPECT_EQ(rs.Count(), v.size());
-  EXPECT_NEAR(rs.Mean(), Mean(v), 1e-12);
-  EXPECT_NEAR(rs.Variance(), Variance(v), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.Min(), -2.0);
-  EXPECT_DOUBLE_EQ(rs.Max(), 7.0);
-}
-
-TEST(Stats, HistogramClampsAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);   // Clamps into bin 0.
-  h.Add(0.5);    // Bin 0.
-  h.Add(5.0);    // Bin 2.
-  h.Add(100.0);  // Clamps into bin 4.
-  EXPECT_EQ(h.TotalCount(), 4u);
-  EXPECT_EQ(h.BinCount(0), 2u);
-  EXPECT_EQ(h.BinCount(2), 1u);
-  EXPECT_EQ(h.BinCount(4), 1u);
-  EXPECT_DOUBLE_EQ(h.Proportion(0), 0.5);
 }
 
 // Quantile must be monotone in q for any data (property sweep).

@@ -10,6 +10,7 @@
 
 #include "src/core/flavor_model.h"
 #include "src/core/lifetime_model.h"
+#include "src/core/resource_model.h"
 #include "src/core/single_lstm_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_span.h"
@@ -125,6 +126,17 @@ TEST(TrainerTelemetry, EveryTrainerPublishesItsEpochMetricsAndSpans) {
   ASSERT_TRUE(lifetime.Train(train, binning, 1, lifetime_config, rng).ok());
   SingleLstmModel single;
   ASSERT_TRUE(single.Train(train, 1, flavor_config, rng).ok());
+  std::set<double> cpus;
+  std::set<double> mems;
+  for (const Flavor& flavor : train.Flavors()) {
+    cpus.insert(flavor.cpus);
+    mems.insert(flavor.memory_gb);
+  }
+  MultiResourceLstmModel resource;
+  ASSERT_TRUE(resource
+                  .Train(train, ResourceQuantizer({cpus.begin(), cpus.end()}),
+                         ResourceQuantizer({mems.begin(), mems.end()}), 1, flavor_config, rng)
+                  .ok());
   obs::TraceCollector::Global().SetEnabled(false);
   const std::vector<obs::SpanEvent> spans = obs::TraceCollector::Global().Events();
 
@@ -135,6 +147,8 @@ TEST(TrainerTelemetry, EveryTrainerPublishesItsEpochMetricsAndSpans) {
       {"train.flavor", BuildFlavorStream(train, 1).tokens.size()},
       {"train.lifetime", BuildLifetimeStream(train, binning, 1).steps.size()},
       {"train.single_lstm", BuildEopStream(train, 1).tokens.size()},
+      // Relabelling jobs to joint (cpu, mem) classes keeps the flavor stream.
+      {"train.resource", BuildFlavorStream(train, 1).tokens.size()},
   };
   for (const auto& trainer : trainers) {
     SCOPED_TRACE(trainer.span);
@@ -154,7 +168,7 @@ TEST(TrainerTelemetry, EveryTrainerPublishesItsEpochMetricsAndSpans) {
     EXPECT_EQ(run_spans, 1u);
     EXPECT_EQ(epoch_spans, kEpochs);
   }
-  EXPECT_EQ(registry.GetHistogram("time.train_epoch_ms").Count(), 3 * kEpochs);
+  EXPECT_EQ(registry.GetHistogram("time.train_epoch_ms").Count(), 4 * kEpochs);
 }
 
 }  // namespace
