@@ -456,11 +456,12 @@ void BenchTraceGeneration(size_t hw, const WorkloadModel& model) {
 //
 // The same GenerateMany run with the observe-only fidelity monitor disabled
 // vs enabled. The per-job hook is one relaxed atomic load when the monitor is
-// off and a handful of relaxed fetch_adds into sharded sketch cells when on,
-// so — like the guard bench above — the signal drowns in scheduler noise
-// unless the variants alternate and each keeps its minimum. Returns the
-// enabled/disabled time ratio; the CI gate keeps bench.overhead.fidelity
-// under 1.05 so the monitor is cheap enough to leave on in soak runs.
+// off and one observe into each of two thread-sharded histograms (lifetime
+// bin, flavor id) when on, so — like the guard bench above — the signal
+// drowns in scheduler noise unless the variants alternate and each keeps its
+// minimum. Returns the enabled/disabled time ratio; the CI gate keeps
+// bench.overhead.fidelity under 1.05 so the monitor is cheap enough to leave
+// on in soak runs.
 double BenchFidelityOverhead(size_t hw, const WorkloadModel& model) {
   WorkloadModel::GenerateOptions options;
   options.from_period = 3 * kPeriodsPerDay;

@@ -3,6 +3,11 @@
 // proceeds (hooked into TraceStreamMachine, the one generation loop) and
 // publishes drift distances against reference distributions derived from the
 // fitted model (survival hazards, IRLS arrival rates, flavor head marginals).
+// The stream is counted in three obs::Histograms at the model's own edges:
+// lifetimes on the lifetime model's bin edges, flavor ids on one bucket per
+// flavor, batches per period with no edges (count and sum). A bucket counts
+// v <= edge exactly, so the empirical CDF at each bin edge, and the KS
+// distance over those edges, are exact.
 //
 // Contract (same as the rest of src/obs): the monitor never reads or advances
 // an Rng and nothing feeds back into model arithmetic — generated trace bytes
@@ -15,10 +20,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
-#include "src/obs/sketch.h"
+#include "src/obs/metrics.h"
 
 namespace cloudgen {
 namespace obs {
@@ -32,7 +36,7 @@ struct FidelityReference {
   std::vector<double> lifetime_edges_sec;
   std::vector<double> lifetime_cdf;
   // Marginal next-flavor distribution (EOB stripped, renormalized); index is
-  // the flavor id. Defines the top-k counter's universe.
+  // the flavor id. Ids past its end count as drift.
   std::vector<double> flavor_marginals;
   // Expected batch arrivals per period over the generation horizon
   // (mean IRLS rate x arrival_scale).
@@ -43,9 +47,10 @@ class FidelityMonitor {
  public:
   static FidelityMonitor& Global();
 
-  // Installs a reference, resets the accumulated stream, and turns the
-  // hooks on. Not safe against a generation run already in flight — callers
-  // enable before generating (the CLI does it right after model load).
+  // Installs a reference and a fresh set of histograms built from it, and
+  // turns the hooks on. Not safe against a generation run already in flight
+  // — callers enable before generating (the CLI does it right after model
+  // load).
   void Enable(FidelityReference reference);
   void Disable();
   bool Enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -77,34 +82,42 @@ class FidelityMonitor {
   //   fidelity.lifetime.ks    sup |F_emp - F_model| over the finite bin edges
   //   fidelity.flavor.tv      total variation, empirical vs marginal mix
   //   fidelity.arrival.rel_err  |mean batches/period - reference| / reference
-  //   fidelity.lifetime.p50/.p95  sketch quantiles (seconds)
+  //   fidelity.lifetime.p50/.p95  smallest bin edge where F_emp reaches
+  //                           0.5/0.95 (seconds; the last finite edge when
+  //                           the quantile lies in the open bin)
   //   fidelity.jobs.observed  gauge mirror of the observed-job count
   void PublishDrift();
 
-  // Snapshot accessors for tests and offline analysis.
-  QuantileSketch::Snapshot LifetimeSnapshot() const { return lifetime_sketch_.TakeSnapshot(); }
-  StreamingMoments::Snapshot ArrivalSnapshot() const { return arrival_moments_.TakeSnapshot(); }
-  TopKCounter::Snapshot FlavorSnapshot() const;
+  // Snapshot accessors for tests and offline analysis (empty before the
+  // first Enable).
+  HistogramData LifetimeSnapshot() const;
+  HistogramData ArrivalSnapshot() const;
+  HistogramData FlavorSnapshot() const;
   FidelityReference Reference() const;
 
  private:
-  FidelityMonitor();
+  // One Enable's reference and the stream counted against it.
+  struct Accumulators {
+    Accumulators(FidelityReference ref, const Accumulators* replaced_set);
+    const FidelityReference reference;
+    Histogram lifetimes;  // Seconds, on reference.lifetime_edges_sec.
+    Histogram flavors;    // Edges 0..K-1: bucket k counts flavor k.
+    Histogram batches;    // No edges: count and sum only.
+    // The set this one replaced. Never freed, because a racing hot-path
+    // Observe may still hold it; the chain keeps it reachable, so a leak
+    // checker does not report it.
+    const Accumulators* const replaced;
+  };
+
+  FidelityMonitor() = default;
 
   void ObserveJobImpl(double lifetime_seconds, int64_t flavor);
   void ObservePeriodBatchesImpl(int64_t n_batches);
 
   std::atomic<bool> enabled_{false};
-  // Lifetimes: 1 s .. ~127 years at 1% relative accuracy; zero-length jobs
-  // land in the exact underflow bucket.
-  QuantileSketch lifetime_sketch_;
-  StreamingMoments arrival_moments_;
-
-  // The flavor counter's universe tracks the reference vocabulary, so the
-  // counter is rebuilt (under mu_) by Enable; the hot path reads the pointer
-  // with one relaxed load. publish_seq_ numbers the drift series points.
-  mutable std::mutex mu_;
-  FidelityReference reference_;
-  std::atomic<TopKCounter*> flavor_counts_{nullptr};
+  // Replaced whole by Enable; the hot path reads the pointer with one
+  // acquire load. publish_seq_ numbers the drift series points.
+  std::atomic<Accumulators*> accumulators_{nullptr};
   std::atomic<uint64_t> publish_seq_{0};
 };
 

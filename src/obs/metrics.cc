@@ -75,8 +75,7 @@ void Histogram::Observe(double v) {
   }
   const size_t shard = ThreadId() & (kMetricShards - 1);
   cells_[shard * NumBuckets() + bucket].value.fetch_add(1, std::memory_order_relaxed);
-  sums_[shard].count.fetch_add(1, std::memory_order_relaxed);
-  internal::AtomicDoubleAdd(&sums_[shard].sum_bits, v);
+  internal::AtomicDoubleAdd(&sums_[shard].value, v);
 }
 
 std::vector<uint64_t> Histogram::BucketCounts() const {
@@ -91,27 +90,37 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
 
 uint64_t Histogram::Count() const {
   uint64_t total = 0;
-  for (const SumCell& cell : sums_) {
-    total += cell.count.load(std::memory_order_relaxed);
+  for (const internal::ShardCell& cell : cells_) {
+    total += cell.value.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 double Histogram::Sum() const {
   double total = 0.0;
-  for (const SumCell& cell : sums_) {
-    total += std::bit_cast<double>(cell.sum_bits.load(std::memory_order_relaxed));
+  for (const internal::ShardCell& cell : sums_) {
+    total += std::bit_cast<double>(cell.value.load(std::memory_order_relaxed));
   }
   return total;
+}
+
+HistogramData Histogram::Data() const {
+  HistogramData data;
+  data.edges = edges_;
+  data.counts = BucketCounts();
+  for (uint64_t c : data.counts) {
+    data.count += c;
+  }
+  data.sum = Sum();
+  return data;
 }
 
 void Histogram::Reset() {
   for (internal::ShardCell& cell : cells_) {
     cell.value.store(0, std::memory_order_relaxed);
   }
-  for (SumCell& cell : sums_) {
-    cell.sum_bits.store(0, std::memory_order_relaxed);
-    cell.count.store(0, std::memory_order_relaxed);
+  for (internal::ShardCell& cell : sums_) {
+    cell.value.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -277,15 +286,15 @@ void Registry::WriteJson(std::ostream& out) const {
       AppendNumber(out, hist->Edges()[i]);
     }
     out << "], \"counts\": [";
-    const std::vector<uint64_t> counts = hist->BucketCounts();
-    for (size_t i = 0; i < counts.size(); ++i) {
+    const HistogramData data = hist->Data();
+    for (size_t i = 0; i < data.counts.size(); ++i) {
       if (i > 0) {
         out << ", ";
       }
-      out << counts[i];
+      out << data.counts[i];
     }
-    out << "], \"count\": " << hist->Count() << ", \"sum\": ";
-    AppendNumber(out, hist->Sum());
+    out << "], \"count\": " << data.count << ", \"sum\": ";
+    AppendNumber(out, data.sum);
     out << "}";
   }
   out << (first ? "},\n" : "\n  },\n");
@@ -412,12 +421,7 @@ RegistrySnapshot Registry::Snapshot() const {
     snap.gauges[name] = gauge->Value();
   }
   for (const auto& [name, hist] : histograms_) {
-    HistogramData data;
-    data.edges = hist->Edges();
-    data.counts = hist->BucketCounts();
-    data.count = hist->Count();
-    data.sum = hist->Sum();
-    snap.histograms.emplace(name, std::move(data));
+    snap.histograms.emplace(name, hist->Data());
   }
   for (const auto& [name, series] : series_) {
     snap.series[name] = series->Points();
@@ -437,15 +441,10 @@ void Registry::UpdatePercentileGauges() {
     std::lock_guard<std::mutex> lock(mu_);
     hists.reserve(histograms_.size());
     for (const auto& [name, hist] : histograms_) {
-      if (hist->Count() == 0) {
-        continue;
+      HistogramData data = hist->Data();
+      if (data.count > 0) {
+        hists.emplace_back(name, std::move(data));
       }
-      HistogramData data;
-      data.edges = hist->Edges();
-      data.counts = hist->BucketCounts();
-      data.count = hist->Count();
-      data.sum = hist->Sum();
-      hists.emplace_back(name, std::move(data));
     }
   }
   for (const auto& [name, data] : hists) {

@@ -85,11 +85,18 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};
 };
 
+struct HistogramData;
+
 // Fixed-bucket histogram. Bucket i counts observations with
 // v <= edges[i] (and v > edges[i-1]); one final overflow bucket catches
-// v > edges.back(). Counts are exact; `sum` is a relaxed double accumulation.
+// v > edges.back(). Counts are exact and the count is their sum; `sum` is a
+// relaxed double accumulation (exact while it holds integers below 2^53).
+// Usually registered by name; the fidelity monitor also builds private ones.
 class Histogram {
  public:
+  // `edges` must be strictly increasing; may be empty (count and sum only).
+  explicit Histogram(std::vector<double> edges);
+
   void Observe(double v);
 
   const std::vector<double>& Edges() const { return edges_; }
@@ -98,20 +105,18 @@ class Histogram {
   std::vector<uint64_t> BucketCounts() const;
   uint64_t Count() const;
   double Sum() const;
+  // One self-consistent copy: `count` is the sum of the copied `counts`.
+  HistogramData Data() const;
 
  private:
   friend class Registry;
-  explicit Histogram(std::vector<double> edges);
   void Reset();
 
   std::vector<double> edges_;
   // kMetricShards rows of NumBuckets() bucket cells each.
   std::vector<internal::ShardCell> cells_;
-  struct alignas(64) SumCell {
-    std::atomic<uint64_t> sum_bits{0};
-    std::atomic<uint64_t> count{0};
-  };
-  SumCell sums_[kMetricShards];
+  // Per-shard sums, stored as double bits.
+  internal::ShardCell sums_[kMetricShards];
 };
 
 // Append-only (step, value) sequence for per-epoch/per-iteration telemetry
