@@ -364,8 +364,11 @@ double BenchGenBatched(size_t hw) {
     }
   });
 
-  // Batched route: the same 64 steps as one StepBatch tick, GEMMs sharded
-  // across the hardware threads like BatchTraceEngine runs them.
+  // Batched route: the same 64 steps as one StepBatch tick, with the global
+  // pool sized to the hardware threads. Its GEMMs (at most 3.2 MFLOP) fall
+  // below the GEMM's pool-dispatch threshold and run inline, as the
+  // engine's do under automatic sharding, where each batch window steps
+  // inside a pool task.
   SetGlobalThreads(hw);
   BatchStepWorkspace bws;
   network.EnsureBatchStep(kStreams, &bws);

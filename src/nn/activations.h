@@ -16,6 +16,18 @@ float SigmoidScalar(float x);
 void SigmoidInPlace(Matrix* m);
 void TanhInPlace(Matrix* m);
 
+// In-place tanh of v[0, n), bitwise equal to std::tanh (glibc's tanhf) on
+// every float input, NaN payloads included. glibc's float tanhf is fdlibm's
+// tanhf over fdlibm's expm1f; this is a branch-free transcription of both,
+// written once with GCC vector extensions at the build's native width (16
+// lanes with AVX-512, 8 with AVX2, 4 with SSE2): every lane computes fdlibm's
+// operations in fdlibm's order and selects the branch fdlibm would take.
+// Equality needs the same rounding at every step, so activations.cc is built
+// with -ffp-contract=off, as glibc builds libm: with contraction the native
+// build fuses expressions such as x - t*ln2_hi into FMAs and the results
+// move by an ulp. The sigmoids above keep calling libm expf.
+void TanhInPlace(float* v, size_t n);
+
 // Max-shifted exponentials of a logits row, the shared front half of every
 // sampler softmax: out[c] = exp(double(row[c] - max(row))) for c in [0, n),
 // with the row maximum taken by std::max in ascending order and the float

@@ -14,27 +14,38 @@ namespace cloudgen {
 namespace {
 
 // One row of gate activation and state update, shared by the reference step
-// (StepCompute) and the zero-allocation step (StepForwardFast) so both emit
-// the exact same float operations — including any FMA contraction the compiler
-// picks — keeping the two routes bitwise-identical. `g` holds pre-activation
-// gates [i|f|g|o] (bias not yet added) and is overwritten with
-// post-activation values. `cp` and `c_row` may alias (in-place state update):
-// each j reads cp[j] before writing c_row[j], and the loop stays scalar (the
-// libm calls block vectorization), so aliasing is safe.
+// (StepCompute), the zero-allocation step (StepForwardFast) and the batched
+// step so all emit the exact same float operations — including any FMA
+// contraction the compiler picks for c — keeping the routes bitwise-identical.
+// `g` holds pre-activation gates [i|f|g|o] (bias not yet added) and is
+// overwritten with post-activation values. Each step is one contiguous pass;
+// the sigmoids call libm expf per element and both tanh passes run the vector
+// kernel, which equals libm tanhf bit for bit. `cp` may equal `c_row`
+// (in-place state update: element j of c reads only element j of cp);
+// `h_row` aliases no other argument, so it holds tanh(c) until the last pass.
 inline void ActivateGatesRow(const float* bias, const float* cp, float* g, float* h_row,
                              float* c_row, size_t hidden) {
+  const float* i_gate = g;
+  const float* f_gate = g + hidden;
+  float* g_gate = g + 2 * hidden;
+  float* o_gate = g + 3 * hidden;
+  for (size_t j = 0; j < 4 * hidden; ++j) {
+    g[j] += bias[j];
+  }
+  for (size_t j = 0; j < 2 * hidden; ++j) {
+    g[j] = SigmoidScalar(g[j]);
+  }
+  TanhInPlace(g_gate, hidden);
   for (size_t j = 0; j < hidden; ++j) {
-    const float i_gate = SigmoidScalar(g[j] + bias[j]);
-    const float f_gate = SigmoidScalar(g[hidden + j] + bias[hidden + j]);
-    const float g_gate = std::tanh(g[2 * hidden + j] + bias[2 * hidden + j]);
-    const float o_gate = SigmoidScalar(g[3 * hidden + j] + bias[3 * hidden + j]);
-    const float c_val = f_gate * cp[j] + i_gate * g_gate;
-    g[j] = i_gate;
-    g[hidden + j] = f_gate;
-    g[2 * hidden + j] = g_gate;
-    g[3 * hidden + j] = o_gate;
-    c_row[j] = c_val;
-    h_row[j] = o_gate * std::tanh(c_val);
+    o_gate[j] = SigmoidScalar(o_gate[j]);
+  }
+  for (size_t j = 0; j < hidden; ++j) {
+    c_row[j] = f_gate[j] * cp[j] + i_gate[j] * g_gate[j];
+  }
+  std::copy(c_row, c_row + hidden, h_row);
+  TanhInPlace(h_row, hidden);
+  for (size_t j = 0; j < hidden; ++j) {
+    h_row[j] = o_gate[j] * h_row[j];
   }
 }
 

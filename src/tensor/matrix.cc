@@ -465,11 +465,14 @@ void RunSharded(RangeKernel kernel, float alpha, const Matrix& a, const Matrix& 
                 Matrix* c, size_t k) {
   const size_t m = c->Rows();
   const size_t n = c->Cols();
-  // ~1 MFLOP minimum per parallel dispatch. Without workers the pool would
-  // run inline anyway; skipping the dispatch entirely also skips the task
-  // closure allocations, which keeps the batched generation step
-  // allocation-free on a single-threaded pool.
-  const bool parallel = 2 * m * n * k >= (1u << 20) && m >= 2 * kRowTile &&
+  // ~4 MFLOP minimum per parallel dispatch. At N = 256 on a 4-vCPU Xeon, a
+  // 4-thread pool took 0.93-3.0x the inline time below 3.2 MFLOP, which
+  // covers the LSTM step's GEMMs (M up to 64, K 64-96), and 0.59-0.97x from
+  // 4.2 MFLOP up. Without workers the pool would run inline anyway; skipping
+  // the dispatch entirely also skips the task closure allocations, which
+  // keeps the batched generation step allocation-free on a single-threaded
+  // pool.
+  const bool parallel = 2 * m * n * k >= (1u << 22) && m >= 2 * kRowTile &&
                         GlobalThreadPool().HasWorkers();
   if (!parallel) {
     kernel(alpha, a, b, c, 0, m);

@@ -1,11 +1,13 @@
 // Tests for the neural-network substrate: activations, losses (value and
 // gradient), Linear and LSTM layers (numerical gradient checks), Adam, and a
 // learnability check on a toy sequence task.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -627,6 +629,184 @@ TEST(LstmLayer, CachedInputViewGradientsAreBitwiseDeterministic) {
   ASSERT_EQ(dinputs1.size(), dinputs2.size());
   for (size_t t = 0; t < dinputs1.size(); ++t) {
     EXPECT_TRUE(BitwiseEqual(dinputs1[t], dinputs2[t])) << "dinput " << t;
+  }
+}
+
+// The gate activation every LSTM route ran before it became contiguous passes
+// over a vector tanh, kept verbatim: one scalar loop, libm tanh, SigmoidScalar
+// and f*cp + i*g. The routes must still reproduce it bit for bit.
+void ScalarGatesRow(const float* bias, const float* cp, float* g, float* h_row,
+                    float* c_row, size_t hidden) {
+  for (size_t j = 0; j < hidden; ++j) {
+    const float i_gate = SigmoidScalar(g[j] + bias[j]);
+    const float f_gate = SigmoidScalar(g[hidden + j] + bias[hidden + j]);
+    const float g_gate = std::tanh(g[2 * hidden + j] + bias[2 * hidden + j]);
+    const float o_gate = SigmoidScalar(g[3 * hidden + j] + bias[3 * hidden + j]);
+    const float c_val = f_gate * cp[j] + i_gate * g_gate;
+    g[j] = i_gate;
+    g[hidden + j] = f_gate;
+    g[2 * hidden + j] = g_gate;
+    g[3 * hidden + j] = o_gate;
+    c_row[j] = c_val;
+    h_row[j] = o_gate * std::tanh(c_val);
+  }
+}
+
+// One value from each class of tanhf's input: +-0; |x| < 2^-55, subnormals
+// included; the expm1f range below and above 1, with its edges; |x| >= 22.
+constexpr float kTanhClasses[] = {0.0f,  -0.0f, 0x1p-60f, -0x1p-56f, 1e-40f, -1e-45f,
+                                  0x1p-55f, 0.3f,  -0.7f,    1.0f,     -1.0f,  3.5f,
+                                  -9.0f,   21.99f, 22.0f,    -22.0f,   40.0f,  -1e5f};
+constexpr size_t kNumTanhClasses = sizeof(kTanhClasses) / sizeof(kTanhClasses[0]);
+constexpr size_t kGateHiddenSizes[] = {1, 5, 16, 17, 24, 64};
+
+// A layer whose gate pre-activations are its input: in_dim = 4H, wx = I,
+// wh = 0, and a bias that is zero except on the o gates.
+LstmLayer PassThroughLayer(size_t hidden) {
+  Rng rng(31);
+  LstmLayer layer(4 * hidden, hidden, rng);
+  std::vector<Matrix*> params = layer.Params();
+  params[0]->SetZero();
+  for (size_t j = 0; j < 4 * hidden; ++j) {
+    (*params[0])(j, j) = 1.0f;
+  }
+  params[1]->SetZero();
+  params[2]->SetZero();
+  for (size_t j = 3 * hidden; j < 4 * hidden; ++j) {
+    (*params[2])(0, j) = (j % 2 == 0) ? 0.5f : 0.0f;
+  }
+  return layer;
+}
+
+TEST(LstmLayer, GatePassesMatchScalarLoopOnEveryRoute) {
+  for (const size_t hidden : kGateHiddenSizes) {
+    SCOPED_TRACE("hidden " + std::to_string(hidden));
+    const size_t rows = kNumTanhClasses + 3;
+    const LstmLayer layer = PassThroughLayer(hidden);
+    Rng rng(32);
+    // Even (r + j): i = 0 and f = 1, so c = cp carries cp's class into the
+    // c kernel; odd: i, f random. The g pre-activation cycles the classes.
+    Matrix x(rows, 4 * hidden);
+    Matrix h_prev(rows, hidden);
+    Matrix c_prev(rows, hidden);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t j = 0; j < hidden; ++j) {
+        const bool pass_cp = (r + j) % 2 == 0;
+        x(r, j) = pass_cp ? -200.0f : static_cast<float>(rng.Normal(0.0, 2.0));
+        x(r, hidden + j) = pass_cp ? 30.0f : static_cast<float>(rng.Normal(0.0, 2.0));
+        x(r, 2 * hidden + j) = kTanhClasses[(r + j) % kNumTanhClasses];
+        x(r, 3 * hidden + j) = static_cast<float>(rng.Normal(0.0, 2.0));
+        h_prev(r, j) = static_cast<float>(rng.Normal(0.0, 1.0));
+        c_prev(r, j) = kTanhClasses[(r + 2 * j + 5) % kNumTanhClasses];
+      }
+    }
+
+    // The reference: the step's two GEMMs, then the scalar loop per row.
+    const std::vector<const Matrix*> params = layer.Params();
+    Matrix gates_ref(rows, 4 * hidden);
+    Gemm(false, false, 1.0f, x, *params[0], 0.0f, &gates_ref);
+    Gemm(false, false, 1.0f, h_prev, *params[1], 1.0f, &gates_ref);
+    Matrix h_ref(rows, hidden);
+    Matrix c_ref(rows, hidden);
+    for (size_t r = 0; r < rows; ++r) {
+      ScalarGatesRow(params[2]->Row(0), c_prev.Row(r), gates_ref.Row(r), h_ref.Row(r),
+                     c_ref.Row(r), hidden);
+    }
+
+    Matrix h = h_prev;
+    Matrix c = c_prev;
+    layer.StepForward(x, &h, &c);
+    EXPECT_TRUE(BitwiseEqual(h, h_ref)) << "StepForward h";
+    EXPECT_TRUE(BitwiseEqual(c, c_ref)) << "StepForward c";
+
+    // The batched step updates h and c in place: cp is c_row.
+    h = h_prev;
+    c = c_prev;
+    Matrix gates;
+    layer.StepForwardBatch(x, &h, &c, &gates);
+    EXPECT_TRUE(BitwiseEqual(h, h_ref)) << "StepForwardBatch h";
+    EXPECT_TRUE(BitwiseEqual(c, c_ref)) << "StepForwardBatch c";
+    EXPECT_TRUE(BitwiseEqual(gates, gates_ref)) << "StepForwardBatch gates";
+
+    // The workspace route of a one-layer network carrying the same weights.
+    SequenceNetworkConfig config;
+    config.input_dim = 4 * hidden;
+    config.hidden_dim = hidden;
+    config.num_layers = 1;
+    config.output_dim = 3;
+    SequenceNetwork network(config, rng);
+    for (size_t p = 0; p < 3; ++p) {
+      *network.Params()[p] = *params[p];
+    }
+    StepWorkspace ws;
+    Matrix x_row(1, 4 * hidden);
+    Matrix logits;
+    for (size_t r = 0; r < rows; ++r) {
+      LstmState state = network.MakeState(1);
+      std::copy(h_prev.Row(r), h_prev.Row(r) + hidden, state.h[0].Row(0));
+      std::copy(c_prev.Row(r), c_prev.Row(r) + hidden, state.c[0].Row(0));
+      std::copy(x.Row(r), x.Row(r) + 4 * hidden, x_row.Row(0));
+      network.StepLogits(x_row, &state, &logits, &ws);
+      const float* want_gates = gates_ref.Row(r);
+      EXPECT_EQ(std::memcmp(state.h[0].Row(0), h_ref.Row(r), hidden * sizeof(float)), 0)
+          << "StepLogits h, row " << r;
+      EXPECT_EQ(std::memcmp(state.c[0].Row(0), c_ref.Row(r), hidden * sizeof(float)), 0)
+          << "StepLogits c, row " << r;
+      EXPECT_EQ(std::memcmp(ws.gates.Row(0), want_gates, 4 * hidden * sizeof(float)), 0)
+          << "StepLogits gates, row " << r;
+    }
+  }
+}
+
+// Training's forward pass caches tanh(c_t) for BPTT. With i = f = 1 and
+// o = 1/2 every c grows by its g each step, so after 30 steps the cells span
+// tanh's classes; the o-gate bias gradient of a unit loss on the last output
+// reads the cached tanh(c) back exactly: (1 * tanh(c)) * 1/2 * 1/2.
+TEST(LstmLayer, ForwardSequenceCachedTanhMatchesScalarLoop) {
+  constexpr size_t kSteps = 30;
+  for (const size_t hidden : kGateHiddenSizes) {
+    SCOPED_TRACE("hidden " + std::to_string(hidden));
+    LstmLayer layer = PassThroughLayer(hidden);
+    (*layer.Params()[2]).SetZero();
+    for (size_t shift = 0; shift < kNumTanhClasses; ++shift) {
+      std::vector<Matrix> inputs(kSteps, Matrix(1, 4 * hidden));
+      for (Matrix& x : inputs) {
+        for (size_t j = 0; j < hidden; ++j) {
+          x(0, j) = 30.0f;
+          x(0, hidden + j) = 30.0f;
+          x(0, 2 * hidden + j) = kTanhClasses[(shift + j) % kNumTanhClasses];
+        }
+      }
+      std::vector<Matrix> outputs;
+      layer.ForwardSequence(inputs, &outputs);
+
+      const std::vector<Matrix*> params = layer.Params();
+      Matrix h_ref(1, hidden);
+      Matrix c_ref(1, hidden);
+      Matrix gates_ref;
+      for (size_t t = 0; t < kSteps; ++t) {
+        gates_ref.Resize(1, 4 * hidden);
+        Gemm(false, false, 1.0f, inputs[t], *params[0], 0.0f, &gates_ref);
+        Gemm(false, false, 1.0f, h_ref, *params[1], 1.0f, &gates_ref);
+        ScalarGatesRow(params[2]->Row(0), c_ref.Row(0), gates_ref.Row(0), h_ref.Row(0),
+                       c_ref.Row(0), hidden);
+        ASSERT_TRUE(BitwiseEqual(outputs[t], h_ref)) << "h at step " << t;
+      }
+
+      std::vector<Matrix> doutputs(kSteps, Matrix(1, hidden));
+      doutputs.back().Fill(1.0f);
+      layer.ZeroGrads();
+      layer.BackwardSequence(doutputs, nullptr);
+      const Matrix& grad_b = *layer.Grads()[2];
+      for (size_t j = 0; j < hidden; ++j) {
+        const float o_gate = gates_ref(0, 3 * hidden + j);
+        const float want =
+            0.0f + (1.0f * std::tanh(c_ref(0, j))) * o_gate * (1.0f - o_gate);
+        const float got = grad_b(0, 3 * hidden + j);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+            << "cached tanh(" << c_ref(0, j) << "), unit " << j;
+      }
+    }
   }
 }
 
