@@ -127,6 +127,7 @@ double BenchBptt(size_t threads, const std::string& name) {
 //
 // Mirrors WorkloadModel::GenerateMany sharding: independent single-step
 // generators, one seed-derived RNG stream each, fanned out over the pool.
+// Each stream owns its state and StepWorkspace, as the generators do.
 
 double BenchGeneration(size_t threads, const std::string& name) {
   constexpr size_t kStreams = 8;
@@ -137,11 +138,12 @@ double BenchGeneration(size_t threads, const std::string& name) {
     GlobalThreadPool().ParallelFor(0, kStreams, [&](size_t s) {
       Rng stream = Rng::Stream(7, s);
       LstmState state = network.MakeState(1);
+      StepWorkspace ws;
       Matrix x(1, 96);
       x.RandomUniform(stream, 1.0f);
       Matrix logits;
       for (size_t i = 0; i < kStepsPerStream; ++i) {
-        network.StepLogits(x, &state, &logits);
+        network.StepLogits(x, &state, &logits, &ws);
       }
     });
   });
@@ -149,13 +151,15 @@ double BenchGeneration(size_t threads, const std::string& name) {
   return ms;
 }
 
-// --- Inference fast path: workspace step vs the pre-fast-path step ---------
+// --- One-row generation step vs the naive step -----------------------------
 //
-// The naive stepper replicates the per-token inference path as it existed
-// before this fast path landed: the tile-dispatched GEMM kernel for every
-// shape (GemmTiled is exactly that kernel) and freshly allocated gate, state,
-// and hidden matrices on every token. Weight values are irrelevant to timing,
-// so it carries its own random parameters rather than reaching into private
+// The naive stepper replicates the per-token inference step as it was before
+// the small-M kernels and the step workspace: the tile-dispatched GEMM
+// kernel for every shape (GemmTiled is exactly that kernel) and freshly
+// allocated gate, state, and hidden matrices on every token. The measured
+// side is StepLogits with a StepWorkspace, the step every generator runs on
+// one stream. Weight values are irrelevant to timing, so the naive stepper
+// carries its own random parameters rather than reaching into private
 // network state.
 struct NaiveStepper {
   struct Layer {
@@ -329,14 +333,14 @@ double BenchGenGuardedStep() {
   return overhead_pct;
 }
 
-// --- Batched multi-stream step vs single-stream fast path ------------------
+// --- Batched multi-stream step vs 64 one-row steps --------------------------
 //
 // The batched inference engine's payoff: advancing B concurrent streams as
 // one blocked (and thread-sharded) GEMM batch per layer instead of B
-// per-stream GEMVs. Both variants run zero-allocation routes and produce
-// bitwise-identical per-row outputs (see tests/batch_gen_test.cc); this
-// measures only the throughput gap at the engine's gate batch size (64
-// streams).
+// per-stream GEMVs. Both variants run the same LSTM step without allocating
+// and produce bitwise-identical per-row outputs (see
+// tests/batch_gen_test.cc); this measures only the throughput gap at the
+// engine's gate batch size (64 streams).
 double BenchGenBatched(size_t hw) {
   constexpr size_t kStreams = 64;
   constexpr size_t kInput = 96;
@@ -345,8 +349,8 @@ double BenchGenBatched(size_t hw) {
   SequenceNetwork network = MakeNetwork(kInput, kHidden, kOutput);
   Rng rng(21);
 
-  // Single-stream route: each stream steps alone, exactly as the legacy
-  // per-trace generation path does (one state + workspace per stream).
+  // One row at a time: each stream steps alone, as single-stream
+  // generation does (one state + workspace per stream).
   SetGlobalThreads(1);
   std::vector<LstmState> states;
   std::vector<StepWorkspace> workspaces(kStreams);
@@ -391,8 +395,8 @@ double BenchGenBatched(size_t hw) {
 //
 // Trains a deliberately tiny WorkloadModel on synthetic data (one epoch per
 // stage: the subject here is generation, not fit quality), then times a
-// single Generate and a threaded GenerateMany. Both exercise the fast path
-// through the real flavor + lifetime generator loops.
+// single Generate (one trace, one row per step) and a threaded GenerateMany
+// (batched ticks), both through the real flavor + lifetime generator loops.
 bool TrainBenchModel(WorkloadModel* model) {
   SynthProfile profile = AzureLikeProfile(0.4);
   profile.train_days = 2;

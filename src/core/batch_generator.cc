@@ -319,8 +319,8 @@ void BatchTraceEngine::StepGroup(const SequenceNetwork& net,
   static obs::Counter& single_counter =
       obs::Registry::Global().GetCounter("gen.batch.singles");
   if (group.size() == 1) {
-    // A 1-row batch is the same math with gather/scatter overhead on top;
-    // the single-stream fast path is the bitwise-identical shortcut.
+    // A 1-row batch would run the same step with gather/scatter copies on
+    // top; stepping the machine's own state skips them.
     single_counter.Add(1);
     group[0]->RunNeededStepSingle();
     return;

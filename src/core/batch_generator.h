@@ -6,9 +6,10 @@
 // traces in lockstep instead: each tick it gathers the active streams' step
 // inputs and per-layer h/c rows into one matrix, runs a single blocked GEMM
 // per LSTM layer (SequenceNetwork::StepBatch), and scatters the results back.
-// Because every GEMM/GEMV kernel computes each output element as one fixed
-// p-ascending reduction, row r of a batched step is bitwise-identical to a
-// batch-1 step of that stream alone — and each stream samples only from its
+// A batch-1 step is the same LSTM step on one row, and the GEMM kernels
+// compute each output element as one fixed p-ascending reduction at any row
+// count, so row r of a batched step is bitwise-identical to a batch-1 step
+// of that stream alone — and each stream samples only from its
 // own Rng::Stream — so generated traces are byte-identical for ANY window
 // size and thread count (window 1, the single-stream route, is the oracle).
 //
@@ -91,9 +92,9 @@ class TraceStreamMachine {
   // and advances to the next needed step.
   void BeginNeededStep(float* x_row);
   void FinishNeededStep();
-  // Runs the needed step entirely on the single-stream fast path — used when
-  // a tick group has exactly one machine, where a 1-row batch would be the
-  // same math with extra gather/scatter.
+  // Runs the needed step whole on the machine's own state and workspace —
+  // used when a tick group has exactly one machine. It is the same LSTM step
+  // a 1-row batch would run, without the gather and scatter copies.
   void RunNeededStepSingle();
   // Advance() followed by single-stream steps until the machine pauses or
   // is done: the whole single-trace route.

@@ -189,6 +189,7 @@ FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {
   // Single stateful pass over the full stream (no truncation) so every step
   // is scored exactly once, conditioned on the entire history.
   LstmState state = network_.MakeState(1);
+  StepWorkspace ws;
   Matrix input(1, encoder_->Dim());
   Matrix logits;
   std::vector<double> factored_lp;
@@ -200,7 +201,7 @@ FlavorLstmModel::EvalResult FlavorLstmModel::Evaluate(const Trace& test) const {
   for (size_t step = 0; step < stream.tokens.size(); ++step) {
     const size_t prev = step == 0 ? eob : static_cast<size_t>(stream.tokens[step - 1]);
     encoder_->EncodeInto(prev, stream.periods[step], stream.doh_days[step], input.Row(0));
-    network_.StepLogits(input, &state, &logits);
+    network_.StepLogits(input, &state, &logits, &ws);
 
     double log_prob = 0.0;
     bool wrong = false;
@@ -264,13 +265,14 @@ std::vector<double> FlavorLstmModel::NextTokenProbs(const FlavorStream& stream,
   CG_CHECK(upto_step <= stream.tokens.size());
   const size_t eob = encoder_->Vocab().EobToken();
   LstmState state = network_.MakeState(1);
+  StepWorkspace ws;
   Matrix input(1, encoder_->Dim());
   Matrix logits;
   for (size_t step = 0; step <= upto_step; ++step) {
     const size_t prev = step == 0 ? eob : static_cast<size_t>(stream.tokens[step - 1]);
     const size_t ref = std::min(step, stream.tokens.size() - 1);
     encoder_->EncodeInto(prev, stream.periods[ref], stream.doh_days[ref], input.Row(0));
-    network_.StepLogits(input, &state, &logits);
+    network_.StepLogits(input, &state, &logits, &ws);
   }
   std::vector<double> probs;
   if (network_.IsFactored()) {
@@ -390,14 +392,13 @@ void FlavorLstmModel::Generator::ConsumeStep(Rng& rng) {
                              static_cast<long long>(period_)));
       }
       if (guard_ == GuardPolicy::kFallback) {
-        // Redo the step through the reference (no-workspace) route from the
-        // pre-step snapshot; on healthy weights it is bitwise-identical to
-        // the workspace route, so the recovered trace matches an unfaulted
-        // run.
+        // Replay the step from the pre-step snapshot; on healthy weights
+        // it reproduces the step bit for bit, so the recovered trace
+        // matches an unfaulted run.
         state_ = fallback_state_;
-        model_.network_.StepLogits(input_, &state_, &logits_);
+        model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
         if (!AllFinite(logits_.Row(0), logits_.Cols())) {
-          GuardAbort("flavor logits non-finite on the reference route too");
+          GuardAbort("flavor logits non-finite on the replayed step too");
         }
         CountGuardFallback();
       }
@@ -469,14 +470,14 @@ size_t FlavorLstmModel::Generator::SampleFactoredToken(Rng& rng) {
                            static_cast<long long>(period_)));
     }
     if (guard_ == GuardPolicy::kFallback) {
-      // Redo the recurrent step on the reference route and recompute the
-      // cluster logits; no RNG draw has been consumed yet.
+      // Replay the recurrent step from the pre-step snapshot and recompute
+      // the cluster logits; no RNG draw has been consumed yet.
       state_ = fallback_state_;
-      model_.network_.StepRecurrent(input_, &state_);
+      model_.network_.StepRecurrent(input_, &state_, &ws_);
       h = state_.h.back().Row(0);
       head.ClusterLogitsInto(h, ws_.facc.data(), ws_.flogits.data());
       if (!AllFinite(ws_.flogits.data(), num_clusters)) {
-        GuardAbort("flavor cluster logits non-finite on the reference route too");
+        GuardAbort("flavor cluster logits non-finite on the replayed step too");
       }
       CountGuardFallback();
     }

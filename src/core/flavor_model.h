@@ -183,8 +183,8 @@ class FlavorLstmModel {
     size_t prev_token_;
     Matrix input_;
     Matrix logits_;
-    // Reused scratch for the network's workspace route: steady-state token
-    // sampling performs no heap allocation.
+    // Reused scratch for the network's step (and the guard's replay of it):
+    // steady-state token sampling performs no heap allocation.
     StepWorkspace ws_;
     // Pre-step snapshot for --guard=fallback (same-shape copies: no
     // steady-state allocation). Unused under other policies.

@@ -227,6 +227,7 @@ LifetimeLstmModel::EvalResult LifetimeLstmModel::Evaluate(const Trace& test) con
     return result;
   }
   LstmState state = network_.MakeState(1);
+  StepWorkspace ws;
   Matrix input(1, encoder_->Dim());
   Matrix logits;
   double bce_sum = 0.0;
@@ -237,7 +238,7 @@ LifetimeLstmModel::EvalResult LifetimeLstmModel::Evaluate(const Trace& test) con
   for (size_t i = 0; i < stream.steps.size(); ++i) {
     const PrevLifetime prev = i == 0 ? PrevLifetime{} : PrevFromStep(stream.steps[i - 1]);
     EncodeStep(stream.steps[i], prev, input.Row(0));
-    network_.StepLogits(input, &state, &logits);
+    network_.StepLogits(input, &state, &logits, &ws);
 
     const LifetimeStep& step = stream.steps[i];
     const std::vector<double> hazard = LogitsToHazard(logits);
@@ -279,12 +280,13 @@ std::vector<std::vector<double>> LifetimeLstmModel::PredictHazards(const Trace& 
   std::vector<std::vector<double>> hazards;
   hazards.reserve(stream.steps.size());
   LstmState state = network_.MakeState(1);
+  StepWorkspace ws;
   Matrix input(1, encoder_->Dim());
   Matrix logits;
   for (size_t i = 0; i < stream.steps.size(); ++i) {
     const PrevLifetime prev = i == 0 ? PrevLifetime{} : PrevFromStep(stream.steps[i - 1]);
     EncodeStep(stream.steps[i], prev, input.Row(0));
-    network_.StepLogits(input, &state, &logits);
+    network_.StepLogits(input, &state, &logits, &ws);
     hazards.push_back(LogitsToHazard(logits));
   }
   return hazards;
@@ -349,14 +351,14 @@ size_t LifetimeLstmModel::Generator::ConsumeJobStep(Rng& rng) {
                            static_cast<long long>(period)));
     }
     if (guard_ == GuardPolicy::kFallback) {
-      // Redo the step through the reference (no-workspace) route from the
-      // pre-step snapshot; on healthy outputs it is bitwise-identical to the
-      // workspace route, so the recovered trace matches an unfaulted run.
+      // Replay the step from the pre-step snapshot; on healthy weights it
+      // reproduces the step bit for bit, so the recovered trace matches an
+      // unfaulted run.
       state_ = fallback_state_;
-      model_.network_.StepLogits(input_, &state_, &logits_);
+      model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
       model_.LogitsToHazardInto(logits_, &hazard_, &ws_.scratch);
       if (!AllFinite(logits_.Row(0), logits_.Cols()) || !ValidHazard(hazard_)) {
-        GuardAbort("lifetime hazard invalid on the reference route too");
+        GuardAbort("lifetime hazard invalid on the replayed step too");
       }
       CountGuardFallback();
     } else if (guard_ == GuardPolicy::kResample) {

@@ -149,8 +149,8 @@ class LifetimeLstmModel {
     PrevLifetime prev_;
     Matrix input_;
     Matrix logits_;
-    // Reused scratch for the network's workspace route: steady-state job
-    // sampling performs no heap allocation.
+    // Reused scratch for the network's step (and the guard's replay of it):
+    // steady-state job sampling performs no heap allocation.
     StepWorkspace ws_;
     std::vector<double> hazard_;
     // Pre-step snapshot for --guard=fallback (same-shape copies: no

@@ -83,6 +83,7 @@ MultiResourceLstmModel::EvalResult MultiResourceLstmModel::Evaluate(const Trace&
   const size_t m = mem_->NumClasses();
   const size_t eob = encoder.Vocab().EobToken();
   LstmState state = network.MakeState(1);
+  StepWorkspace ws;
   Matrix input(1, encoder.Dim());
   Matrix row;  // The head's concat [u | v].
   std::vector<double> weights;
@@ -90,7 +91,7 @@ MultiResourceLstmModel::EvalResult MultiResourceLstmModel::Evaluate(const Trace&
   for (size_t step = 0; step < stream.tokens.size(); ++step) {
     const size_t prev = step == 0 ? eob : static_cast<size_t>(stream.tokens[step - 1]);
     encoder.EncodeInto(prev, stream.periods[step], stream.doh_days[step], input.Row(0));
-    network.StepLogits(input, &state, &row);
+    network.StepLogits(input, &state, &row, &ws);
     const auto token = static_cast<size_t>(stream.tokens[step]);
     if (token == eob) {
       continue;  // Chain-rule NLL over resource steps only.

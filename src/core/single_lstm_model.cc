@@ -116,9 +116,9 @@ std::vector<std::vector<int32_t>> SingleLstmModel::Generator::GeneratePeriod(
       }
       if (guard_ == GuardPolicy::kFallback) {
         state_ = fallback_state_;
-        model_.network_.StepLogits(input_, &state_, &logits_);
+        model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
         if (!AllFinite(logits_.Row(0), logits_.Cols())) {
-          GuardAbort("single-LSTM logits non-finite on the reference route too");
+          GuardAbort("single-LSTM logits non-finite on the replayed step too");
         }
         CountGuardFallback();
       }

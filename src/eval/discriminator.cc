@@ -103,13 +103,14 @@ DiscriminatorResult DiscriminateTraces(const Trace& real, const Trace& generated
   size_t correct = 0;
   Matrix x(1, vocab);
   Matrix step_logits;
+  StepWorkspace ws;
   for (size_t i = result.train_windows; i < windows.size(); ++i) {
     LstmState state = network.MakeState(1);
     float logit = 0.0f;
     for (size_t t = 0; t < config.window; ++t) {
       x.SetZero();
       x(0, static_cast<size_t>(windows[i].tokens[t])) = 1.0f;
-      network.StepLogits(x, &state, &step_logits);
+      network.StepLogits(x, &state, &step_logits, &ws);
       logit = step_logits(0, 0);
     }
     const bool predicted_real = SigmoidScalar(logit) >= 0.5f;

@@ -33,10 +33,11 @@ class Linear {
   // in place through the strided GEMV, with `acc` as caller scratch of n
   // floats. Bitwise-identical to columns [c0, c0+n) of ForwardInference on
   // the same row — the per-element accumulation chains are column-position
-  // independent and the bias is added in the same epilogue order. The full
-  // span (0, OutDim()) is the dense head's batch-1 step; a cluster's slice
-  // lets the class-factored softmax evaluate a huge output layer in O(n)
-  // instead of O(OutDim()).
+  // independent and the bias is added in the same epilogue order. It serves
+  // the class-factored softmax: the full span of its cluster layer, and one
+  // cluster's slice of its member layer, which evaluates a huge output layer
+  // in O(n) instead of O(OutDim()). The dense head steps through
+  // ForwardInference at every row count.
   void ForwardSpan(const float* x, size_t c0, size_t n, float* acc, float* y) const;
 
   // Given dL/dY, accumulates parameter gradients and writes dL/dX (optional:

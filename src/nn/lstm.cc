@@ -13,10 +13,10 @@
 namespace cloudgen {
 namespace {
 
-// One row of gate activation and state update, shared by the reference step
-// (StepCompute), the zero-allocation step (StepForwardFast) and the batched
-// step so all emit the exact same float operations — including any FMA
-// contraction the compiler picks for c — keeping the routes bitwise-identical.
+// One row of gate activation and state update. StepForwardBatch is its only
+// caller, so training's forward pass and every generation step emit the exact
+// same float operations — including any FMA contraction the compiler picks
+// for c.
 // `g` holds pre-activation gates [i|f|g|o] (bias not yet added) and is
 // overwritten with post-activation values. Each step is one contiguous pass;
 // the sigmoids call libm expf per element and both tanh passes run the vector
@@ -75,21 +75,6 @@ LstmLayer::LstmLayer(size_t in_dim, size_t hidden_dim, Rng& rng)
   }
 }
 
-void LstmLayer::StepCompute(const Matrix& x, const Matrix& h_prev, const Matrix& c_prev,
-                            Matrix* gates, Matrix* h_new, Matrix* c_new) const {
-  const size_t batch = x.Rows();
-  const size_t h4 = 4 * hidden_;
-  gates->Resize(batch, h4);
-  Gemm(false, false, 1.0f, x, wx_, 0.0f, gates);
-  Gemm(false, false, 1.0f, h_prev, wh_, 1.0f, gates);
-  h_new->Resize(batch, hidden_);
-  c_new->Resize(batch, hidden_);
-  for (size_t r = 0; r < batch; ++r) {
-    ActivateGatesRow(b_.Row(0), c_prev.Row(r), gates->Row(r), h_new->Row(r),
-                     c_new->Row(r), hidden_);
-  }
-}
-
 void LstmLayer::ForwardSequence(const std::vector<Matrix>& inputs,
                                 std::vector<Matrix>* outputs) {
   CG_CHECK(outputs != nullptr);
@@ -112,14 +97,12 @@ void LstmLayer::ForwardSequence(const std::vector<Matrix>& inputs,
     CG_CHECK(inputs[t].Rows() == batch && inputs[t].Cols() == wx_.Rows());
     cache_h_prev_[t] = h;
     cache_c_prev_[t] = c;
-    Matrix h_new;
-    Matrix c_new;
-    StepCompute(inputs[t], h, c, &cache_gates_[t], &h_new, &c_new);
+    // The generation step itself: h and c advance in place, and the gates
+    // it leaves behind are the post-activation values the backward reads.
+    StepForwardBatch(inputs[t], &h, &c, &cache_gates_[t]);
     // tanh(c_t) is reused by the backward pass.
-    cache_tanh_c_[t] = c_new;
+    cache_tanh_c_[t] = c;
     TanhInPlace(&cache_tanh_c_[t]);
-    h = h_new;
-    c = c_new;
     (*outputs)[t] = h;
   }
 }
@@ -198,36 +181,6 @@ void LstmLayer::BackwardSequence(const std::vector<Matrix>& doutputs,
   }
 }
 
-void LstmLayer::StepForward(const Matrix& x, Matrix* h, Matrix* c) const {
-  CG_CHECK(h != nullptr && c != nullptr);
-  Matrix gates;
-  Matrix h_new;
-  Matrix c_new;
-  StepCompute(x, *h, *c, &gates, &h_new, &c_new);
-  *h = h_new;
-  *c = c_new;
-}
-
-void LstmLayer::StepForwardFast(const float* x, float* h, float* c, float* gates,
-                                float* acc) const {
-  const size_t in = wx_.Rows();
-  const size_t h4 = 4 * hidden_;
-  // gates = x * wx, reproducing Gemm(beta=0)'s zero-then-accumulate epilogue
-  // (0.0f + chain) exactly, including its +0/-0 behaviour.
-  std::fill(acc, acc + h4, 0.0f);
-  GemvAccumulate(x, in, wx_.Row(0), h4, h4, acc);
-  for (size_t j = 0; j < h4; ++j) {
-    gates[j] = 0.0f + acc[j];
-  }
-  // gates += h * wh (Gemm with beta=1: a second independent chain, added on).
-  std::fill(acc, acc + h4, 0.0f);
-  GemvAccumulate(h, hidden_, wh_.Row(0), h4, h4, acc);
-  for (size_t j = 0; j < h4; ++j) {
-    gates[j] += acc[j];
-  }
-  ActivateGatesRow(b_.Row(0), c, gates, h, c, hidden_);
-}
-
 void LstmLayer::StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c,
                                  Matrix* gates) const {
   CG_DCHECK(h != nullptr && c != nullptr && gates != nullptr);
@@ -238,10 +191,11 @@ void LstmLayer::StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c,
   if (gates->Rows() != batch || gates->Cols() != h4) {
     gates->Resize(batch, h4);
   }
-  // Same two-GEMM structure as StepCompute — never fused into one [x|h]
-  // product, which would change the accumulation chains. Both products
-  // fully consume `h` before the activation below overwrites it, so the
-  // in-place state update is safe.
+  // Two GEMMs, never fused into one [x|h] product, which would change the
+  // accumulation chains. Both products fully consume `h` before the
+  // activation below overwrites it, so the in-place state update is safe.
+  // Below Gemm's row tile (one stream, a 3-row training shard) both
+  // products run the small-M GEMV kernel.
   Gemm(false, false, 1.0f, x, wx_, 0.0f, gates);
   Gemm(false, false, 1.0f, *h, wh_, 1.0f, gates);
   for (size_t r = 0; r < batch; ++r) {
@@ -314,30 +268,6 @@ void StackedLstm::BackwardSequence(const std::vector<Matrix>& doutputs) {
     if (need_dinput) {
       grad = std::move(dinput);
     }
-  }
-}
-
-void StackedLstm::StepForward(const Matrix& x, LstmState* state, Matrix* out) const {
-  CG_CHECK(state != nullptr && out != nullptr);
-  CG_CHECK(state->h.size() == layers_.size() && state->c.size() == layers_.size());
-  Matrix current = x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].StepForward(current, &state->h[l], &state->c[l]);
-    current = state->h[l];
-  }
-  *out = current;
-}
-
-void StackedLstm::StepForwardFast(const float* x, LstmState* state, float* gates,
-                                  float* acc) const {
-  CG_DCHECK(state != nullptr);
-  CG_DCHECK(state->h.size() == layers_.size() && state->c.size() == layers_.size());
-  const float* cur = x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    float* h = state->h[l].Row(0);
-    float* c = state->c[l].Row(0);
-    layers_[l].StepForwardFast(cur, h, c, gates, acc);
-    cur = h;  // Next layer reads the state row directly; no inter-layer copy.
   }
 }
 

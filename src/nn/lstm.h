@@ -8,12 +8,12 @@
 //  * A sequence is a std::vector<Matrix> of length T.
 //  * Gate pre-activations are packed as [i | f | g | o], each of width H.
 //
-// Training and generation modes:
+// One forward step, StepForwardBatch, serves training and generation alike:
 //  * ForwardSequence/BackwardSequence run over whole sequences with caches
 //    (used by the trainer; hidden state is zeroed before each forward pass,
-//    matching §4.2 of the paper).
-//  * StepForward advances one step from an explicit LstmState (used during
-//    trace generation where jobs are sampled one at a time).
+//    matching §4.2 of the paper). Each forward timestep is StepForwardBatch.
+//  * StepForwardBatch advances B rows of an explicit LstmState by one step
+//    (generation; B = 1 for a single stream or any tick group of one).
 #ifndef SRC_NN_LSTM_H_
 #define SRC_NN_LSTM_H_
 
@@ -60,26 +60,13 @@ class LstmLayer {
   // dL/dX_t per step into `dinputs` (pass nullptr to skip).
   void BackwardSequence(const std::vector<Matrix>& doutputs, std::vector<Matrix>* dinputs);
 
-  // Single-step inference. `h` and `c` are this layer's rows of an LstmState
-  // and are updated in place; `out_h` receives the new hidden state.
-  void StepForward(const Matrix& x, Matrix* h, Matrix* c) const;
-
-  // Zero-allocation batch-1 step that reads the parameters in place. `x` has
-  // InDim() elements; `h` and `c` (HiddenDim() each) are updated in place.
-  // `gates` and `acc` are caller-owned scratch of 4*H floats each.
-  // Bitwise-identical to StepForward: the GEMV chains match the blocked
-  // GEMM's per-element chains and the gate activation shares one helper with
-  // the reference path.
-  void StepForwardFast(const float* x, float* h, float* c, float* gates,
-                       float* acc) const;
-
-  // Batched multi-stream step: row r of `x` (B, InDim) is stream r's input
-  // and row r of `h`/`c` (B, H each) is its recurrent state, updated in
-  // place. `gates` is caller-owned scratch, resized to (B, 4H). Row r's
-  // outputs are bitwise-identical to a batch-1 StepForward/StepForwardFast
-  // on that row alone: the two GEMMs compute every output element as one
-  // k-ascending chain independent of the other rows, and the gate
-  // activation is the same shared helper as both single-stream routes.
+  // The forward step at any row count: row r of `x` (B, InDim) is stream
+  // r's input and row r of `h`/`c` (B, H each) is its recurrent state,
+  // updated in place. `gates` is caller-owned scratch, resized to (B, 4H)
+  // when its shape differs, and holds the post-activation gates [i f g o]
+  // afterwards. Row r's outputs do not depend on B or on the other rows:
+  // the two GEMMs compute every output element as one k-ascending chain,
+  // and every row runs the same gate activation.
   void StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c, Matrix* gates) const;
 
   // Parameter access (optimizer, fault injection). Order: wx, wh, b.
@@ -110,10 +97,6 @@ class LstmLayer {
   std::vector<Matrix> cache_c_prev_;
   std::vector<Matrix> cache_gates_;   // post-activation [i f g o]
   std::vector<Matrix> cache_tanh_c_;  // tanh(c_t)
-
-  // Computes gate activations for one step into `gates` and the new h/c.
-  void StepCompute(const Matrix& x, const Matrix& h_prev, const Matrix& c_prev,
-                   Matrix* gates, Matrix* h_new, Matrix* c_new) const;
 };
 
 // A stack of LSTM layers; layer i feeds layer i+1.
@@ -134,21 +117,11 @@ class StackedLstm {
   // Backward through all layers; input gradients are discarded.
   void BackwardSequence(const std::vector<Matrix>& doutputs);
 
-  // Single-step inference; `state` must have NumLayers() entries and is
-  // updated in place. `out` receives the top layer's new hidden state.
-  void StepForward(const Matrix& x, LstmState* state, Matrix* out) const;
-
-  // Zero-allocation batch-1 step (`state` batch must be 1). Updates `state`
-  // in place; the top layer's new hidden state is state->h.back().Row(0) —
-  // no inter-layer copies are made. `gates`/`acc` are caller scratch of
-  // 4*HiddenDim() floats each.
-  void StepForwardFast(const float* x, LstmState* state, float* gates, float* acc) const;
-
-  // Batched multi-stream step across all layers: `state` holds one (B, H)
-  // h and c matrix per layer, updated in place (layer l > 0 reads layer
-  // l-1's just-written h matrix directly — no inter-layer copies). `gates`
-  // is shared caller scratch, resized to (B, 4*HiddenDim()). Row r is
-  // bitwise-identical to a batch-1 step on that stream alone.
+  // One step of every layer: `state` holds one (B, H) h and c matrix per
+  // layer, updated in place (layer l > 0 reads layer l-1's just-written h
+  // matrix directly — no inter-layer copies). `gates` is shared caller
+  // scratch, resized to (B, 4*HiddenDim()). The top layer's new hidden
+  // state is state->h.back().
   void StepForwardBatch(const Matrix& x, LstmState* state, Matrix* gates) const;
 
   LstmState ZeroState(size_t batch) const;

@@ -1,6 +1,5 @@
 #include "src/nn/sequence_network.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -80,55 +79,25 @@ void SequenceNetwork::BackwardSequence(const std::vector<Matrix>& dlogits) {
 
 LstmState SequenceNetwork::MakeState(size_t batch) const { return lstm_.ZeroState(batch); }
 
-bool SequenceNetwork::StepWorkspaceRoute(const Matrix& x, LstmState* state,
-                                         StepWorkspace* ws) const {
-  if (ws == nullptr || x.Rows() != 1 || x.Cols() != config_.input_dim ||
-      state->h.empty() || state->h[0].Rows() != 1) {
-    return false;
-  }
-  const size_t h4 = 4 * config_.hidden_dim;
-  const size_t acc_cols = std::max(h4, config_.output_dim);
-  if (ws->gates.Rows() != 1 || ws->gates.Cols() != h4) {
-    ws->gates.Resize(1, h4);
-  }
-  if (ws->acc.Rows() != 1 || ws->acc.Cols() != acc_cols) {
-    ws->acc.Resize(1, acc_cols);
-  }
-  lstm_.StepForwardFast(x.Row(0), state, ws->gates.Row(0), ws->acc.Row(0));
-  return true;
-}
-
 void SequenceNetwork::StepLogits(const Matrix& x, LstmState* state, Matrix* logits,
                                  StepWorkspace* ws) const {
-  CG_CHECK(state != nullptr && logits != nullptr);
+  CG_CHECK(logits != nullptr);
+  StepRecurrent(x, state, ws);
   if (IsFactored()) {
     // Factored heads emit the concat [u | v] row — the evaluation/debug
     // view. Generation samples two levels straight from the hidden state
     // (StepRecurrent + ClassFactoredHead pieces) and never calls this.
-    StepRecurrent(x, state, ws);
     fhead_.ForwardInference(state->h.back(), logits);
-    return;
+  } else {
+    head_.ForwardInference(state->h.back(), logits);
   }
-  if (StepWorkspaceRoute(x, state, ws)) {
-    if (logits->Rows() != 1 || logits->Cols() != config_.output_dim) {
-      logits->Resize(1, config_.output_dim);
-    }
-    head_.ForwardSpan(state->h.back().Row(0), 0, config_.output_dim, ws->acc.Row(0),
-                      logits->Row(0));
-    return;
-  }
-  Matrix hidden;
-  lstm_.StepForward(x, state, &hidden);
-  head_.ForwardInference(hidden, logits);
 }
 
 void SequenceNetwork::StepRecurrent(const Matrix& x, LstmState* state,
                                     StepWorkspace* ws) const {
-  CG_CHECK(state != nullptr);
-  if (!StepWorkspaceRoute(x, state, ws)) {
-    Matrix hidden;
-    lstm_.StepForward(x, state, &hidden);
-  }
+  CG_CHECK(state != nullptr && ws != nullptr);
+  CG_CHECK(state->h.size() == config_.num_layers && state->c.size() == config_.num_layers);
+  lstm_.StepForwardBatch(x, state, &ws->gates);
 }
 
 void SequenceNetwork::EnsureBatchStep(size_t rows, BatchStepWorkspace* ws) const {
@@ -154,9 +123,8 @@ void SequenceNetwork::StepBatch(BatchStepWorkspace* ws) const {
   CG_CHECK(ws != nullptr);
   lstm_.StepForwardBatch(ws->x, &ws->state, &ws->gates);
   if (!IsFactored()) {
-    // One blocked GEMM over all gathered rows; per row this is the same
-    // beta=0 chain + bias epilogue as ForwardSpan, so the scattered logits
-    // are bitwise-identical to the single-stream workspace route.
+    // One GEMM over all gathered rows: the same head call as StepLogits,
+    // and per-row chains do not depend on the row count.
     head_.ForwardInference(ws->state.h.back(), &ws->logits);
   }
 }

@@ -34,13 +34,13 @@ struct SequenceNetworkConfig {
   size_t factored_clusters = 0;
 };
 
-// Preallocated scratch for the zero-allocation generation step. One workspace
-// per generator (not shared across threads); buffers grow on first use and
-// are reused for every subsequent token, so the steady state performs no heap
-// allocation per step.
+// Preallocated scratch for the one-stream step (StepLogits/StepRecurrent).
+// Every caller declares one: a generator owns one for its lifetime, and an
+// evaluation loop one per pass (not shared across threads). Buffers grow on
+// first use and are reused for every subsequent token, so the steady state
+// performs no heap allocation per step.
 struct StepWorkspace {
   Matrix gates;  // (1, 4*hidden): [i|f|g|o] gate pre/post-activations.
-  Matrix acc;    // (1, max(4*hidden, output)): GEMV accumulator scratch.
   // Sampling-side buffers owned here so model generators stay allocation-free
   // too (softmax probabilities, hazard/PMF conversions).
   std::vector<double> probs;
@@ -85,21 +85,20 @@ class SequenceNetwork {
   // Backward from per-step logit gradients; accumulates into the grads.
   void BackwardSequence(const std::vector<Matrix>& dlogits);
 
-  // Generation-time single-step inference. `state` persists across calls.
-  // A batch-1 step given a workspace takes the zero-allocation workspace
-  // route, which reads the parameters in place and needs no preparation
-  // after construction, Load() or a write through Params(). Without a
-  // workspace (or for batch > 1) it takes the allocating reference route;
-  // both routes are bitwise-identical.
+  // One step of one stream (evaluation and single-stream generation).
+  // `state` persists across calls; the step runs the LSTM stack's one
+  // forward step (StackedLstm::StepForwardBatch) on its row, with `ws` as
+  // scratch, and needs no preparation after construction, Load() or a write
+  // through Params(). The logits row is the output head on the new hidden
+  // state; for a factored head it is the concat [u | v].
   LstmState MakeState(size_t batch = 1) const;
   void StepLogits(const Matrix& x, LstmState* state, Matrix* logits,
-                  StepWorkspace* ws = nullptr) const;
+                  StepWorkspace* ws) const;
 
   // Recurrent-only single step (no output head); the caller samples from
-  // state->h.back() afterwards. Same two routes as StepLogits. This is the
-  // generation step for factored heads, which never materialize full logits.
-  void StepRecurrent(const Matrix& x, LstmState* state,
-                     StepWorkspace* ws = nullptr) const;
+  // state->h.back() afterwards. This is the generation step for factored
+  // heads, which never materialize full logits.
+  void StepRecurrent(const Matrix& x, LstmState* state, StepWorkspace* ws) const;
 
   // Batched multi-stream generation step. EnsureBatchStep shapes `ws` for
   // `rows` gathered streams (reusing capacity — see BatchStepWorkspace);
@@ -108,7 +107,8 @@ class SequenceNetwork {
   // Factored heads stop at the hidden state: the caller samples per stream
   // from ws->state.h.back() rows. Row r of every output is
   // bitwise-identical to a single-stream StepLogits/StepRecurrent on that
-  // stream alone (per-element GEMM chains are batch-size independent).
+  // stream alone: both run the same LSTM step and head, whose per-element
+  // GEMM chains are batch-size independent.
   //
   // Concurrency: both calls are const and only read the weights; all
   // mutable scratch lives in `ws`. Concurrent callers with distinct
@@ -131,11 +131,6 @@ class SequenceNetwork {
   void Load(std::istream& in);
 
  private:
-  // The workspace route's LSTM step: when `ws` is given and the step is
-  // batch-1, shapes `ws`, advances `state` without allocating and returns
-  // true; otherwise returns false and touches nothing.
-  bool StepWorkspaceRoute(const Matrix& x, LstmState* state, StepWorkspace* ws) const;
-
   SequenceNetworkConfig config_;
   StackedLstm lstm_;
   Linear head_;              // Dense head; default-empty when factored.

@@ -353,8 +353,15 @@ inline void GemvChunkTail(float alpha, const float* x, size_t xs, size_t k, cons
 // Accumulator strip: acc[jj] += (alpha * x[p]) * w(p, j0 + jj), one fixed
 // p-ascending chain per element seeded from acc's existing value, with the
 // x element read at stride `xs` (1 for NN, the row length for TN).
-inline void GemvStrip(float alpha, const float* x, size_t xs, size_t k, const float* w,
-                      size_t ld, size_t cols, float* acc) {
+//
+// Kept out of line: inlined into SmallNN's strip loop, g++ 12 spilled
+// GemvChunkFull's 64-float chunk to the stack and loaded and stored it on
+// every p step; out of line the chunk stays in vector registers for the whole
+// k loop, and SmallNN runs the same compiled loop as GemvAccumulate (g++ may
+// still clone it per constant argument, such as a unit stride). Every
+// element's chain is the same either way.
+__attribute__((noinline)) void GemvStrip(float alpha, const float* x, size_t xs, size_t k,
+                                         const float* w, size_t ld, size_t cols, float* acc) {
   size_t j0 = 0;
   for (; j0 + kGemvChunkCols <= cols; j0 += kGemvChunkCols) {
     GemvChunkFull(alpha, x, xs, k, w + j0, ld, acc + j0);

@@ -80,14 +80,16 @@ class Matrix {
 // small-M kernels that stream op(B) exactly once instead of once per column
 // tile. Their per-element accumulation chains are identical to the tiled
 // kernels', so the dispatch is invisible in the output bits (enforced by
-// tests against GemmTiled).
+// tests against GemmTiled). The NN and TN small-M kernels run the same
+// compiled GEMV loop as GemvAccumulate, so a one-row LSTM step through Gemm
+// costs what a hand-written GEMV step would.
 void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix* c);
 
 // The tile-only blocked path with no small-M dispatch. This is bitwise- and
 // performance-identical to what Gemm did before the small-M kernels existed;
 // it is kept callable as the oracle for the small-M bitwise tests and as the
-// honest baseline for the generation fast-path benchmarks.
+// baseline for the one-row generation step benchmarks.
 void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
                float beta, Matrix* c);
 
@@ -95,9 +97,10 @@ void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const M
 // one accumulation chain per element, the same chain the blocked NN kernels
 // produce for a one-row A with alpha = 1. `w` points at the first column of a
 // row-major span with row stride `ldw` (>= n); `acc` is accumulated into, not
-// zeroed. This is the batch-1 inference step's kernel (src/nn): callers keep a
-// preallocated `acc` and add it to the destination afterwards, reproducing
-// Gemm's ApplyBeta-then-accumulate epilogue bit for bit. The per-element
+// zeroed. Gemm's small-M NN kernel runs the same loop; callers (the factored
+// softmax head's spans, via Linear::ForwardSpan) keep a preallocated `acc`
+// and add it to the destination afterwards, reproducing Gemm's
+// ApplyBeta-then-accumulate epilogue bit for bit. The per-element
 // chains are position-independent (chunking only groups output columns), so a
 // column span of a wider matrix is bitwise-identical to the same columns of a
 // full-width call — which lets the class-factored softmax evaluate one

@@ -16,9 +16,9 @@
 //   read_truncate A checkpoint/model payload read behaves as if truncated.
 //   nan_grad      A NaN is planted in the gradients before an optimizer step.
 //   gen_nan_logit A NaN is planted in a generation step's logits right after
-//                 the network's workspace-route step, exercising the numeric
-//                 guards (src/core/gen_guard.h). The guard's fallback path
-//                 recomputes through the reference route, which is *not*
+//                 the network's step, exercising the numeric guards
+//                 (src/core/gen_guard.h). The guard's fallback replays the
+//                 step from the pre-step snapshot, and the replay is *not*
 //                 poisoned, so --guard=fallback completes bitwise-identically
 //                 to a fault-free run.
 //   gen_write_kill The process _Exits with kFaultKillExitCode in the window

@@ -309,10 +309,11 @@ TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
                    "auto shards threads=4");
 }
 
-// --guard=fallback recomputes a poisoned step on the reference
-// (no-workspace) route. With every step poisoned inside the batched engine,
-// each step's output comes from that route, and the traces must still equal
-// the clean run byte for byte — for the dense and the factored head.
+// --guard=fallback replays a poisoned step from the pre-step snapshot on the
+// generator's own one-row state. With every step poisoned inside the batched
+// engine, each step's output comes from that replay, and the traces must
+// still equal the clean run byte for byte — for the dense and the factored
+// head.
 TEST(BatchGenIdentity, FallbackRouteRecoversBitwiseWhenBatched) {
   WorkloadModel::GenerateOptions options = BaseOptions();
   options.guard = GuardPolicy::kFallback;

@@ -241,8 +241,9 @@ TEST(SequenceNetwork, FactoredSaveLoadRoundTripPreservesHeadAndSteps) {
   x.RandomUniform(rng, 1.0f);
   LstmState sa = network.MakeState(1);
   LstmState sb = loaded.MakeState(1);
-  network.StepRecurrent(x, &sa);
-  loaded.StepRecurrent(x, &sb);
+  StepWorkspace ws;
+  network.StepRecurrent(x, &sa, &ws);
+  loaded.StepRecurrent(x, &sb, &ws);
   for (size_t i = 0; i < sa.h.back().Cols(); ++i) {
     ASSERT_EQ(sa.h.back().Row(0)[i], sb.h.back().Row(0)[i]) << "h[" << i << "]";
   }

@@ -1,7 +1,7 @@
 // Numeric-guard tests: policy parsing, the validators/sanitizers, and the
 // end-to-end policy behaviors on a trained model with gen_nan_logit armed —
-// abort throws, fallback recovers bitwise-identically through the reference
-// route, resample degrades gracefully but completes.
+// abort throws, fallback recovers bitwise-identically by replaying the step,
+// resample degrades gracefully but completes.
 #include "src/core/gen_guard.h"
 
 #include <cmath>
@@ -215,8 +215,8 @@ TEST_F(GenGuardModelTest, FallbackPolicyRecoversBitwiseIdentically) {
   const Trace clean = model_->Generate(Options(GuardPolicy::kAbort), rng_clean);
   ASSERT_GT(clean.NumJobs(), 0u);
 
-  // Poison every packed step; the fallback recompute through the reference
-  // route is clean, so the output must match the unfaulted run exactly.
+  // Poison every step; the fallback's replay of it is clean, so the output
+  // must match the unfaulted run exactly.
   ASSERT_TRUE(
       FaultInjector::Global().Configure("gen_nan_logit:1.0").ok());
   obs::Counter& fallbacks =

@@ -191,10 +191,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 37, 64), ::testing::Values(19, 48),
                        ::testing::Values(16, 33)));
 
-// The generation fast path dispatches small-M products (M < the row tile) to
-// dedicated GEMV-style kernels. The contract is *bitwise* equality with the
-// tiled kernel (GemmTiled is the pre-dispatch Gemm), not just numerical
-// closeness: generated traces must be byte-identical whichever route ran.
+// Gemm dispatches small-M products (M < the row tile), such as every one-row
+// generation step, to dedicated GEMV-style kernels. The contract is *bitwise*
+// equality with the tiled kernel (GemmTiled is the pre-dispatch Gemm), not
+// just numerical closeness: generated traces must be byte-identical whichever
+// route ran.
 // memcmp (not EXPECT_EQ on floats) so a -0.0/+0.0 divergence cannot hide.
 class GemmSmallMBitwiseTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 

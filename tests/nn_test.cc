@@ -385,6 +385,15 @@ TEST(SequenceNetwork, EndToEndGradientCheck) {
   }
 }
 
+// A generation step is the training forward: both run the one LSTM step and
+// the same head call, so the comparisons below use memcmp on the raw float
+// storage rather than EXPECT_FLOAT_EQ (which would treat -0.0f and +0.0f as
+// equal).
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.Rows() == b.Rows() && a.Cols() == b.Cols() &&
+         std::memcmp(a.Data(), b.Data(), a.Size() * sizeof(float)) == 0;
+}
+
 TEST(SequenceNetwork, StepForwardMatchesSequenceForward) {
   Rng rng(4);
   SequenceNetworkConfig config;
@@ -404,12 +413,59 @@ TEST(SequenceNetwork, StepForwardMatchesSequenceForward) {
   network.ForwardSequence(inputs, &seq_logits);
 
   LstmState state = network.MakeState(1);
+  StepWorkspace ws;
   for (size_t t = 0; t < steps; ++t) {
     Matrix step_logits;
-    network.StepLogits(inputs[t], &state, &step_logits);
-    for (size_t c = 0; c < config.output_dim; ++c) {
-      EXPECT_NEAR(step_logits(0, c), seq_logits[t](0, c), 1e-4f)
-          << "t=" << t << " c=" << c;
+    network.StepLogits(inputs[t], &state, &step_logits, &ws);
+    EXPECT_TRUE(BitwiseEqual(step_logits, seq_logits[t])) << "t=" << t;
+  }
+}
+
+// A 3-sequence minibatch: row r of every StepBatch tick equals row r of the
+// training forward at that timestep, bit for bit, for a dense head and for a
+// factored one (whose StepBatch stops at the hidden state, so the test
+// applies the head to the stepped rows itself).
+TEST(SequenceNetwork, StepBatchRowsMatchSequenceForwardMinibatch) {
+  for (const size_t clusters : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(clusters > 0 ? "factored" : "dense");
+    Rng rng(13);
+    SequenceNetworkConfig config;
+    config.input_dim = 7;
+    config.hidden_dim = 9;
+    config.num_layers = 2;
+    config.output_dim = 11;
+    config.factored_clusters = clusters;
+    SequenceNetwork network(config, rng);
+
+    const size_t steps = 5;
+    const size_t batch = 3;
+    std::vector<Matrix> inputs(steps);
+    for (auto& m : inputs) {
+      m.Resize(batch, config.input_dim);
+      m.RandomUniform(rng, 2.0f);
+    }
+    std::vector<Matrix> seq_logits;
+    network.ForwardSequence(inputs, &seq_logits);
+
+    BatchStepWorkspace ws;
+    network.EnsureBatchStep(batch, &ws);
+    Matrix logits;
+    for (size_t t = 0; t < steps; ++t) {
+      ws.x = inputs[t];
+      network.StepBatch(&ws);
+      if (network.IsFactored()) {
+        network.FactoredHead().ForwardInference(ws.state.h.back(), &logits);
+      } else {
+        logits = ws.logits;
+      }
+      ASSERT_EQ(logits.Rows(), batch);
+      ASSERT_EQ(logits.Cols(), seq_logits[t].Cols());
+      for (size_t r = 0; r < batch; ++r) {
+        EXPECT_EQ(std::memcmp(logits.Row(r), seq_logits[t].Row(r),
+                              logits.Cols() * sizeof(float)),
+                  0)
+            << "t=" << t << " row " << r;
+      }
     }
   }
 }
@@ -434,100 +490,13 @@ TEST(SequenceNetwork, SaveLoadRoundTrip) {
   x.RandomUniform(rng, 1.0f);
   LstmState s1 = network.MakeState(1);
   LstmState s2 = loaded.MakeState(1);
+  StepWorkspace ws;
   Matrix y1;
   Matrix y2;
-  network.StepLogits(x, &s1, &y1);
-  loaded.StepLogits(x, &s2, &y2);
+  network.StepLogits(x, &s1, &y1, &ws);
+  loaded.StepLogits(x, &s2, &y2, &ws);
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_FLOAT_EQ(y1(0, c), y2(0, c));
-  }
-}
-
-// The workspace route promises *bitwise* identity with the reference step
-// route, so these comparisons use memcmp on the raw float storage rather than
-// EXPECT_FLOAT_EQ (which would treat -0.0f and +0.0f as equal).
-bool BitwiseEqual(const Matrix& a, const Matrix& b) {
-  return a.Rows() == b.Rows() && a.Cols() == b.Cols() &&
-         std::memcmp(a.Data(), b.Data(), a.Size() * sizeof(float)) == 0;
-}
-
-TEST(LstmLayer, StepForwardFastBitwiseMatchesStepForward) {
-  Rng rng(7);
-  const size_t in_dim = 9;
-  const size_t hidden = 11;
-  LstmLayer layer(in_dim, hidden, rng);
-
-  Matrix h_ref(1, hidden);
-  Matrix c_ref(1, hidden);
-  Matrix h_fast(1, hidden);
-  Matrix c_fast(1, hidden);
-  std::vector<float> gates(4 * hidden);
-  std::vector<float> acc(4 * hidden);
-  for (int t = 0; t < 6; ++t) {
-    Matrix x(1, in_dim);
-    x.RandomUniform(rng, 2.0f);
-    layer.StepForward(x, &h_ref, &c_ref);
-    layer.StepForwardFast(x.Row(0), h_fast.Row(0), c_fast.Row(0), gates.data(),
-                          acc.data());
-    ASSERT_TRUE(BitwiseEqual(h_ref, h_fast)) << "h diverged at step " << t;
-    ASSERT_TRUE(BitwiseEqual(c_ref, c_fast)) << "c diverged at step " << t;
-  }
-}
-
-TEST(StackedLstm, StepForwardFastBitwiseMatchesStepForward) {
-  Rng rng(8);
-  const size_t in_dim = 7;
-  const size_t hidden = 10;
-  const size_t layers = 3;
-  StackedLstm stack(in_dim, hidden, layers, rng);
-
-  LstmState ref_state = stack.ZeroState(1);
-  LstmState fast_state = stack.ZeroState(1);
-  std::vector<float> gates(4 * hidden);
-  std::vector<float> acc(4 * hidden);
-  Matrix top;
-  for (int t = 0; t < 6; ++t) {
-    Matrix x(1, in_dim);
-    x.RandomUniform(rng, 2.0f);
-    stack.StepForward(x, &ref_state, &top);
-    stack.StepForwardFast(x.Row(0), &fast_state, gates.data(), acc.data());
-    for (size_t l = 0; l < layers; ++l) {
-      ASSERT_TRUE(BitwiseEqual(ref_state.h[l], fast_state.h[l]))
-          << "h[" << l << "] diverged at step " << t;
-      ASSERT_TRUE(BitwiseEqual(ref_state.c[l], fast_state.c[l]))
-          << "c[" << l << "] diverged at step " << t;
-    }
-    ASSERT_TRUE(BitwiseEqual(top, Matrix(fast_state.h.back())))
-        << "top output diverged at step " << t;
-  }
-}
-
-TEST(SequenceNetwork, PackedStepLogitsBitwiseMatchesReference) {
-  Rng rng(9);
-  SequenceNetworkConfig config;
-  config.input_dim = 6;
-  config.hidden_dim = 12;
-  config.num_layers = 2;
-  config.output_dim = 17;
-  SequenceNetwork network(config, rng);
-
-  LstmState ref_state = network.MakeState(1);
-  LstmState fast_state = network.MakeState(1);
-  StepWorkspace ws;
-  Matrix ref_logits;
-  Matrix fast_logits;
-  for (int t = 0; t < 8; ++t) {
-    Matrix x(1, config.input_dim);
-    x.RandomUniform(rng, 2.0f);
-    network.StepLogits(x, &ref_state, &ref_logits);          // Reference route.
-    network.StepLogits(x, &fast_state, &fast_logits, &ws);   // Workspace route.
-    ASSERT_TRUE(BitwiseEqual(ref_logits, fast_logits)) << "logits diverged at step " << t;
-    for (size_t l = 0; l < config.num_layers; ++l) {
-      ASSERT_TRUE(BitwiseEqual(ref_state.h[l], fast_state.h[l]))
-          << "h[" << l << "] diverged at step " << t;
-      ASSERT_TRUE(BitwiseEqual(ref_state.c[l], fast_state.c[l]))
-          << "c[" << l << "] diverged at step " << t;
-    }
   }
 }
 
@@ -547,16 +516,16 @@ TEST(SequenceNetwork, WorkspaceRouteSeesWeightsWrittenThroughParams) {
   network.StepLogits(x, &before_state, &before_logits, &ws);
 
   // A caller may write through the returned pointers at any time; the next
-  // workspace step must see the new weight, bitwise equal to the reference.
+  // step must see the new weight, bitwise equal to the training forward.
   network.Params()[0]->Data()[0] += 0.25f;
-  LstmState ref_state = network.MakeState(1);
+  const std::vector<Matrix> inputs = {x};
+  std::vector<Matrix> seq_logits;
+  network.ForwardSequence(inputs, &seq_logits);
   LstmState ws_state = network.MakeState(1);
-  Matrix ref_logits;
   Matrix ws_logits;
-  network.StepLogits(x, &ref_state, &ref_logits);
   network.StepLogits(x, &ws_state, &ws_logits, &ws);
   EXPECT_FALSE(BitwiseEqual(before_logits, ws_logits)) << "weight write not seen";
-  EXPECT_TRUE(BitwiseEqual(ref_logits, ws_logits));
+  EXPECT_TRUE(BitwiseEqual(seq_logits[0], ws_logits));
 }
 
 TEST(SequenceNetwork, LoadedNetworkWorkspaceRouteMatchesOriginal) {
@@ -577,10 +546,11 @@ TEST(SequenceNetwork, LoadedNetworkWorkspaceRouteMatchesOriginal) {
   x.RandomUniform(rng, 1.0f);
   LstmState ref_state = network.MakeState(1);
   LstmState loaded_state = loaded.MakeState(1);
+  StepWorkspace ref_ws;
   StepWorkspace ws;
   Matrix ref_logits;
   Matrix loaded_logits;
-  network.StepLogits(x, &ref_state, &ref_logits);
+  network.StepLogits(x, &ref_state, &ref_logits, &ref_ws);
   loaded.StepLogits(x, &loaded_state, &loaded_logits, &ws);
   EXPECT_TRUE(BitwiseEqual(ref_logits, loaded_logits));
 }
@@ -632,9 +602,10 @@ TEST(LstmLayer, CachedInputViewGradientsAreBitwiseDeterministic) {
   }
 }
 
-// The gate activation every LSTM route ran before it became contiguous passes
+// The gate activation the LSTM step ran before it became contiguous passes
 // over a vector tanh, kept verbatim: one scalar loop, libm tanh, SigmoidScalar
-// and f*cp + i*g. The routes must still reproduce it bit for bit.
+// and f*cp + i*g. The step must still reproduce it bit for bit, at many rows
+// and at one.
 void ScalarGatesRow(const float* bias, const float* cp, float* g, float* h_row,
                     float* c_row, size_t hidden) {
   for (size_t j = 0; j < hidden; ++j) {
@@ -713,22 +684,17 @@ TEST(LstmLayer, GatePassesMatchScalarLoopOnEveryRoute) {
                      c_ref.Row(r), hidden);
     }
 
+    // The step updates h and c in place: cp is c_row.
     Matrix h = h_prev;
     Matrix c = c_prev;
-    layer.StepForward(x, &h, &c);
-    EXPECT_TRUE(BitwiseEqual(h, h_ref)) << "StepForward h";
-    EXPECT_TRUE(BitwiseEqual(c, c_ref)) << "StepForward c";
-
-    // The batched step updates h and c in place: cp is c_row.
-    h = h_prev;
-    c = c_prev;
     Matrix gates;
     layer.StepForwardBatch(x, &h, &c, &gates);
     EXPECT_TRUE(BitwiseEqual(h, h_ref)) << "StepForwardBatch h";
     EXPECT_TRUE(BitwiseEqual(c, c_ref)) << "StepForwardBatch c";
     EXPECT_TRUE(BitwiseEqual(gates, gates_ref)) << "StepForwardBatch gates";
 
-    // The workspace route of a one-layer network carrying the same weights.
+    // One row at a time through a one-layer network carrying the same
+    // weights: the step generation runs at batch 1.
     SequenceNetworkConfig config;
     config.input_dim = 4 * hidden;
     config.hidden_dim = hidden;

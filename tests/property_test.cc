@@ -1,6 +1,7 @@
 // Cross-module property sweeps: invariants that must hold for arbitrary
 // inputs, checked over randomized instances (seed-parameterized TEST_P).
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,13 +215,16 @@ TEST_P(NetworkShapeTest, StepMatchesSequence) {
   }
   std::vector<Matrix> seq_logits;
   network.ForwardSequence(inputs, &seq_logits);
+  // One step and one head call serve both, so the logits agree bit for bit.
   LstmState state = network.MakeState(1);
+  StepWorkspace ws;
   Matrix step_logits;
   for (size_t t = 0; t < steps; ++t) {
-    network.StepLogits(inputs[t], &state, &step_logits);
-    for (size_t c = 0; c < output; ++c) {
-      EXPECT_NEAR(step_logits(0, c), seq_logits[t](0, c), 1e-4f);
-    }
+    network.StepLogits(inputs[t], &state, &step_logits, &ws);
+    ASSERT_EQ(step_logits.Cols(), output);
+    EXPECT_EQ(std::memcmp(step_logits.Data(), seq_logits[t].Data(), output * sizeof(float)),
+              0)
+        << "t=" << t;
   }
 }
 

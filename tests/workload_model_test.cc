@@ -248,8 +248,8 @@ TEST_F(WorkloadModelTest, GenerateManyIdenticalAcrossThreadsAndRoutes) {
     EXPECT_TRUE(SameJobs(serial[i], threaded[i])) << "trace " << i;
   }
 
-  // Reference route, still at 4 threads, must match as well: with every
-  // step poisoned, --guard=fallback recomputes each one on that route.
+  // Replayed steps, still at 4 threads, must match as well: with every
+  // step poisoned, --guard=fallback replays each one from its snapshot.
   ASSERT_TRUE(FaultInjector::Global().Configure("gen_nan_logit:1.0").ok());
   Rng rng_ref(25);
   const std::vector<Trace> reference = model_->GenerateMany(options, count, rng_ref);
