@@ -85,32 +85,24 @@ void LifetimeLstmModel::EncodeStep(const LifetimeStep& step, const PrevLifetime&
   encoder_->EncodeInto(step.period, step.doh_day, step.flavor, step.batch_size, prev, out);
 }
 
-std::vector<double> LifetimeLstmModel::LogitsToHazard(const Matrix& logits) const {
-  std::vector<double> hazard;
-  std::vector<double> scratch;
-  LogitsToHazardInto(logits, &hazard, &scratch);
-  return hazard;
-}
-
 void LifetimeLstmModel::LogitsToHazardInto(const Matrix& logits,
                                            std::vector<double>* hazard,
-                                           std::vector<double>* scratch) const {
-  CG_CHECK(hazard != nullptr && scratch != nullptr);
+                                           StepWorkspace* ws) const {
+  CG_CHECK(hazard != nullptr && ws != nullptr);
   const size_t bins = logits.Cols();
   const float* row = logits.Row(0);
   if (config_.head == LifetimeHead::kPmf) {
     // Softmax → PMF → equivalent hazard.
-    const double sum = MaxShiftedExp(row, bins, scratch);
-    for (double& p : *scratch) {
+    const double sum = MaxShiftedExp(row, bins, &ws->scratch);
+    for (double& p : ws->scratch) {
       p /= sum;
     }
-    PmfToHazardInto(*scratch, hazard);
+    PmfToHazardInto(ws->scratch, hazard);
     return;
   }
-  hazard->resize(bins);
-  for (size_t j = 0; j < bins; ++j) {
-    (*hazard)[j] = SigmoidScalar(row[j]);
-  }
+  ws->flogits.assign(row, row + bins);
+  SigmoidInPlace(ws->flogits.data(), bins);
+  hazard->assign(ws->flogits.begin(), ws->flogits.end());
   hazard->back() = 1.0;  // Open final bin.
 }
 
@@ -230,6 +222,7 @@ LifetimeLstmModel::EvalResult LifetimeLstmModel::Evaluate(const Trace& test) con
   StepWorkspace ws;
   Matrix input(1, encoder_->Dim());
   Matrix logits;
+  std::vector<double> hazard;
   double bce_sum = 0.0;
   size_t bce_terms = 0;
   double job_nll_sum = 0.0;
@@ -241,7 +234,7 @@ LifetimeLstmModel::EvalResult LifetimeLstmModel::Evaluate(const Trace& test) con
     network_.StepLogits(input, &state, &logits, &ws);
 
     const LifetimeStep& step = stream.steps[i];
-    const std::vector<double> hazard = LogitsToHazard(logits);
+    LogitsToHazardInto(logits, &hazard, &ws);
     for (size_t j = 0; j < step.bin; ++j) {
       bce_sum += -std::log(std::max(1.0 - hazard[j], kEps));
       ++bce_terms;
@@ -287,7 +280,8 @@ std::vector<std::vector<double>> LifetimeLstmModel::PredictHazards(const Trace& 
     const PrevLifetime prev = i == 0 ? PrevLifetime{} : PrevFromStep(stream.steps[i - 1]);
     EncodeStep(stream.steps[i], prev, input.Row(0));
     network_.StepLogits(input, &state, &logits, &ws);
-    hazards.push_back(LogitsToHazard(logits));
+    hazards.emplace_back();
+    LogitsToHazardInto(logits, &hazards.back(), &ws);
   }
   return hazards;
 }
@@ -342,7 +336,7 @@ size_t LifetimeLstmModel::Generator::ConsumeJobStep(Rng& rng) {
   if (FaultInjector::Global().ShouldInject(FaultKind::kGenNanLogit)) {
     logits_.Row(0)[0] = std::numeric_limits<float>::quiet_NaN();
   }
-  model_.LogitsToHazardInto(logits_, &hazard_, &ws_.scratch);
+  model_.LogitsToHazardInto(logits_, &hazard_, &ws_);
   if (guard_ != GuardPolicy::kOff &&
       (!AllFinite(logits_.Row(0), logits_.Cols()) || !ValidHazard(hazard_))) {
     CountGuardViolation();
@@ -356,7 +350,7 @@ size_t LifetimeLstmModel::Generator::ConsumeJobStep(Rng& rng) {
       // unfaulted run.
       state_ = fallback_state_;
       model_.network_.StepLogits(input_, &state_, &logits_, &ws_);
-      model_.LogitsToHazardInto(logits_, &hazard_, &ws_.scratch);
+      model_.LogitsToHazardInto(logits_, &hazard_, &ws_);
       if (!AllFinite(logits_.Row(0), logits_.Cols()) || !ValidHazard(hazard_)) {
         GuardAbort("lifetime hazard invalid on the replayed step too");
       }

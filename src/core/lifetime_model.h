@@ -106,6 +106,15 @@ class LifetimeLstmModel {
   // Per-job predicted hazards under teacher forcing (for Survival-MSE).
   std::vector<std::vector<double>> PredictHazards(const Trace& test) const;
 
+  // The per-bin hazard of one logits row (row 0), as the generator samples
+  // it: the sigmoid of each logit for the hazard head, the PMF's equivalent
+  // hazard for the softmax head; the last bin is open (1.0). Reuses `ws`'s
+  // buffers (`scratch` for the PMF, `flogits` for the sigmoids) and
+  // `hazard`'s capacity, so the generation hot loop allocates nothing.
+  // Evaluate and PredictHazards convert their logits the same way.
+  void LogitsToHazardInto(const Matrix& logits, std::vector<double>* hazard,
+                          StepWorkspace* ws) const;
+
   // Stateful generator mirroring FlavorLstmModel::Generator: call StepJob for
   // every job of a sampled trace in generation order.
   class Generator {
@@ -175,12 +184,6 @@ class LifetimeLstmModel {
   size_t num_flavors_ = 0;
 
   void EncodeStep(const LifetimeStep& step, const PrevLifetime& prev, float* out) const;
-  std::vector<double> LogitsToHazard(const Matrix& logits) const;
-  // Buffer-reusing form for the generation hot loop: writes the per-bin
-  // hazard into `hazard`; `scratch` holds the intermediate PMF for the
-  // softmax head. Identical arithmetic to LogitsToHazard.
-  void LogitsToHazardInto(const Matrix& logits, std::vector<double>* hazard,
-                          std::vector<double>* scratch) const;
 };
 
 }  // namespace cloudgen

@@ -19,8 +19,9 @@ namespace {
 // for c.
 // `g` holds pre-activation gates [i|f|g|o] (bias not yet added) and is
 // overwritten with post-activation values. Each step is one contiguous pass;
-// the sigmoids call libm expf per element and both tanh passes run the vector
-// kernel, which equals libm tanhf bit for bit. `cp` may equal `c_row`
+// the sigmoid and tanh passes run the vector kernels, which reproduce
+// SigmoidScalar and libm tanhf bit for bit (activations.h says where a
+// build without FMA differs). `cp` may equal `c_row`
 // (in-place state update: element j of c reads only element j of cp);
 // `h_row` aliases no other argument, so it holds tanh(c) until the last pass.
 inline void ActivateGatesRow(const float* bias, const float* cp, float* g, float* h_row,
@@ -32,13 +33,9 @@ inline void ActivateGatesRow(const float* bias, const float* cp, float* g, float
   for (size_t j = 0; j < 4 * hidden; ++j) {
     g[j] += bias[j];
   }
-  for (size_t j = 0; j < 2 * hidden; ++j) {
-    g[j] = SigmoidScalar(g[j]);
-  }
+  SigmoidInPlace(g, 2 * hidden);
   TanhInPlace(g_gate, hidden);
-  for (size_t j = 0; j < hidden; ++j) {
-    o_gate[j] = SigmoidScalar(o_gate[j]);
-  }
+  SigmoidInPlace(o_gate, hidden);
   for (size_t j = 0; j < hidden; ++j) {
     c_row[j] = f_gate[j] * cp[j] + i_gate[j] * g_gate[j];
   }

@@ -45,9 +45,9 @@ struct StepWorkspace {
   // too (softmax probabilities, hazard/PMF conversions).
   std::vector<double> probs;
   std::vector<double> scratch;
-  // Factored-head sampling buffers (untouched by dense heads): float
-  // logits/accumulator scratch for cluster and member-slice GEMVs, and the
-  // cluster-weight vector.
+  // Float logits/accumulator scratch for a factored head's cluster and
+  // member-slice GEMVs, and its cluster-weight vector; the lifetime model's
+  // dense hazard head runs its sigmoids in flogits.
   std::vector<float> flogits;
   std::vector<float> facc;
   std::vector<double> cweights;

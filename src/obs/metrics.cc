@@ -64,14 +64,13 @@ Histogram::Histogram(std::vector<double> edges)
     : edges_(std::move(edges)), cells_(kMetricShards * (edges_.size() + 1)) {}
 
 void Histogram::Observe(double v) {
-  // Linear scan: bucket counts are small (~a dozen) and edges are hot in
-  // cache; a branchy binary search wins nothing here.
-  size_t bucket = edges_.size();  // Overflow bucket.
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (v <= edges_[i]) {
-      bucket = i;
-      break;
-    }
+  // The bucket is the first edge >= v; with ascending edges that is the
+  // number of edges below v. Counting them is branch-free and vectorizes,
+  // where a scan that stops at the edge mispredicts its exit. A NaN is
+  // below no edge's `<=`, so it counts every edge: the overflow bucket.
+  size_t bucket = 0;
+  for (const double edge : edges_) {
+    bucket += !(v <= edge);
   }
   const size_t shard = ThreadId() & (kMetricShards - 1);
   cells_[shard * NumBuckets() + bucket].value.fetch_add(1, std::memory_order_relaxed);

@@ -7,11 +7,29 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <new>
 #include <vector>
 
 namespace cloudgen {
 
 class Rng;
+
+// Allocates on 64-byte boundaries. malloc aligns only to 16 bytes (and hands
+// out large blocks at a page + 16), so a 1 KiB weight row would straddle two
+// cache lines on every 64-byte vector load.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(size_t n) { return static_cast<T*>(::operator new(n * sizeof(T), kAlignment)); }
+  void deallocate(T* p, size_t n) { ::operator delete(p, n * sizeof(T), kAlignment); }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) { return true; }
+};
 
 class Matrix {
  public:
@@ -65,7 +83,7 @@ class Matrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, CacheLineAllocator<float>> data_;
 };
 
 // C = alpha * op(A) * op(B) + beta * C, where op is optional transposition.

@@ -4,9 +4,10 @@
 // with no preparation step after construction, Load() or a write through
 // Params().
 //
-// The check instruments the global allocator: operator new/new[] bump an
-// atomic counter while a test has counting enabled. Assertions run strictly
-// outside the counted region (gtest itself allocates freely).
+// The check instruments the global allocator: operator new/new[], plain and
+// std::align_val_t (Matrix storage is 64-byte aligned), bump an atomic
+// counter while a test has counting enabled. Assertions run strictly outside
+// the counted region (gtest itself allocates freely).
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -30,11 +31,15 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<size_t> g_allocations{0};
 
-void* CountedAlloc(std::size_t size) {
+void* CountedAlloc(std::size_t size, std::size_t alignment = 0) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  void* ptr = std::malloc(size == 0 ? 1 : size);
+  size = size == 0 ? 1 : size;
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  void* ptr = alignment == 0
+                  ? std::malloc(size)
+                  : std::aligned_alloc(alignment, (size + alignment - 1) / alignment * alignment);
   if (ptr == nullptr) {
     throw std::bad_alloc();
   }
@@ -60,10 +65,20 @@ class AllocationCounter {
 
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return CountedAlloc(size, static_cast<std::size_t>(alignment));
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return CountedAlloc(size, static_cast<std::size_t>(alignment));
+}
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
 
 namespace cloudgen {
 namespace {
@@ -225,6 +240,7 @@ TEST(AllocFree, BatchedStepSteadyStateAllocatesNothing) {
 
 // Sanity check on the instrumentation itself: MakeState builds fresh
 // matrices, so it allocates by construction and the counter must see it.
+// A lone Matrix allocates once, through the std::align_val_t operator new.
 TEST(AllocFree, CounterObservesAllocations) {
   Rng rng(34);
   SequenceNetwork network = MakeNetwork(rng, 8, 9);
@@ -238,6 +254,14 @@ TEST(AllocFree, CounterObservesAllocations) {
     allocations = counter.Stop();
   }
   EXPECT_GT(allocations, 0u) << "allocation counter is not observing the allocator";
+
+  size_t matrix_allocations = 0;
+  {
+    AllocationCounter counter;
+    const Matrix m(4, 4);
+    matrix_allocations = counter.Stop();
+  }
+  EXPECT_EQ(matrix_allocations, 1u) << "aligned allocations are not counted";
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 #include "src/core/lifetime_model.h"
 
 #include <cmath>
-
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/baselines/lifetime_baselines.h"
+#include "src/nn/activations.h"
 #include "src/synth/synthetic_cloud.h"
 #include "src/util/rng.h"
 
@@ -181,6 +184,43 @@ TEST(LifetimeLstm, SaveLoadPreservesEvaluation) {
   EXPECT_NEAR(a.bce, b.bce, 1e-9);
   EXPECT_DOUBLE_EQ(a.one_best_err, b.one_best_err);
   std::remove(path.c_str());
+}
+
+// The hazard head's sigmoids run through the vector kernel. Each bin's
+// hazard must equal the scalar loop it replaced, widened to double, bit for
+// bit, at bin counts that end mid-vector, with the last bin open and one
+// workspace reused across rows of every length.
+TEST(LifetimeLstm, HazardHeadEqualsScalarSigmoidLoop) {
+  const LifetimeLstmModel model;  // The default head is the hazard head.
+  Rng rng(18);
+  StepWorkspace ws;
+  std::vector<double> hazard;
+  for (const size_t bins : {size_t{1}, size_t{2}, size_t{17}, size_t{46}, size_t{47},
+                            size_t{100}, size_t{9}}) {
+    SCOPED_TRACE("bins " + std::to_string(bins));
+    Matrix logits(1, bins);
+    for (size_t j = 0; j < bins; ++j) {
+      logits(0, j) = static_cast<float>(rng.Normal(0.0, 4.0));
+    }
+    if (bins > 4) {
+      logits(0, 0) = 0.0f;
+      logits(0, 1) = -0.0f;
+      logits(0, 2) = -120.0f;
+      logits(0, 3) = 95.0f;
+    }
+    model.LogitsToHazardInto(logits, &hazard, &ws);
+
+    // The loop the kernel replaced, verbatim.
+    std::vector<double> want(bins);
+    const float* row = logits.Row(0);
+    for (size_t j = 0; j < bins; ++j) {
+      want[j] = SigmoidScalar(row[j]);
+    }
+    want.back() = 1.0;  // Open final bin.
+
+    ASSERT_EQ(hazard.size(), bins);
+    EXPECT_EQ(std::memcmp(hazard.data(), want.data(), bins * sizeof(double)), 0);
+  }
 }
 
 }  // namespace

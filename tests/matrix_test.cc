@@ -3,9 +3,12 @@
 #include "src/tensor/matrix.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +63,33 @@ TEST(Matrix, ScaleAddAxpy) {
   a.Axpy(-0.5f, b);
   EXPECT_FLOAT_EQ(a(1, 1), 3.5f);
   EXPECT_NEAR(a.SquaredNorm(), 4 * 3.5 * 3.5, 1e-5);
+}
+
+// The storage starts on a cache line, below and above the 128 KiB at which
+// malloc takes blocks from mmap (1x256 floats is 1 KiB; the lifetime layer's
+// 156x256 input weights are 156 KiB), and stays there through Resize,
+// copies and moves.
+TEST(Matrix, StorageIsCacheLineAligned) {
+  const auto aligned = [](const Matrix& m) {
+    return reinterpret_cast<uintptr_t>(m.Data()) % 64 == 0;
+  };
+  for (const size_t rows : {size_t{1}, size_t{3}, size_t{156}, size_t{1024}}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    Matrix m(rows, 256, 1.0f);
+    EXPECT_TRUE(aligned(m));
+    m.Resize(rows + 2, 259);
+    EXPECT_TRUE(aligned(m));
+    Matrix copy(1, 5);
+    copy = m;
+    EXPECT_TRUE(aligned(copy));
+    const Matrix constructed(copy);
+    EXPECT_TRUE(aligned(constructed));
+    const Matrix moved(std::move(copy));
+    EXPECT_TRUE(aligned(moved));
+    Matrix assigned(2, 2);
+    assigned = std::move(m);
+    EXPECT_TRUE(aligned(assigned));
+  }
 }
 
 TEST(Matrix, TransposedCorrect) {

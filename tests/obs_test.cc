@@ -2,8 +2,10 @@
 // histogram bucket-edge semantics, span nesting and export formats, and the
 // observe-only contract (telemetry on vs off never changes model bytes or
 // generated traces).
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "src/synth/synthetic_cloud.h"
 #include "src/util/metrics_exporter.h"
 #include "src/util/metrics_json.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
@@ -82,6 +85,55 @@ TEST(ObsHistogram, BucketEdgeSemantics) {
   EXPECT_EQ(counts, (std::vector<uint64_t>{2, 1, 1, 1}));
   EXPECT_EQ(hist.Count(), 5u);
   EXPECT_DOUBLE_EQ(hist.Sum(), 0.5 + 1.0 + 1.5 + 4.0 + 4.1);
+}
+
+// Observe counts the edges below a value instead of scanning for the first
+// edge >= it. Both must pick the same bucket for every double: the edges
+// themselves and their neighbours, +-0, +-inf, NaN and random values, on
+// edge sets as short as one edge and as long as the lifetime bins.
+TEST(ObsHistogram, BucketIsTheFirstEdgeAtOrAboveTheValue) {
+  std::vector<double> lifetime_like;
+  for (int i = 0; i < 46; ++i) {
+    lifetime_like.push_back(60.0 * std::pow(1.3, i));
+  }
+  const std::vector<std::vector<double>> edge_sets = {
+      {0.0}, {-1.0, 0.0, 2.5}, {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0}, lifetime_like};
+  Rng rng(17);
+  for (const std::vector<double>& edges : edge_sets) {
+    SCOPED_TRACE("edges " + std::to_string(edges.size()));
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> values = {0.0,
+                                  -0.0,
+                                  inf,
+                                  -inf,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  -std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::denorm_min(),
+                                  std::numeric_limits<double>::max(),
+                                  -std::numeric_limits<double>::max()};
+    for (const double edge : edges) {
+      values.push_back(edge);
+      values.push_back(std::nextafter(edge, -inf));
+      values.push_back(std::nextafter(edge, inf));
+    }
+    for (int i = 0; i < 200; ++i) {
+      values.push_back(rng.Uniform(edges.front() - 10.0, edges.back() + 10.0));
+    }
+    obs::Histogram hist(edges);
+    std::vector<uint64_t> want(hist.NumBuckets(), 0);
+    for (const double v : values) {
+      size_t bucket = edges.size();
+      for (size_t i = 0; i < edges.size(); ++i) {
+        if (v <= edges[i]) {
+          bucket = i;
+          break;
+        }
+      }
+      ++want[bucket];
+      hist.Observe(v);
+      ASSERT_EQ(hist.BucketCounts(), want) << "value " << v;
+    }
+  }
 }
 
 TEST(ObsHistogram, ExactCountUnderParallelObserve) {
