@@ -1,7 +1,7 @@
 // Microbenchmarks for the performance-critical substrate: GEMM (reference vs
-// blocked vs thread-sharded), data-parallel BPTT, parallel generation-style
-// stream stepping, Kaplan-Meier fitting, and packing decisions. Not a paper
-// table — engineering telemetry for the library itself.
+// blocked), data-parallel BPTT, parallel generation-style stream stepping,
+// Kaplan-Meier fitting, and packing decisions. Not a paper table —
+// engineering telemetry for the library itself.
 //
 // Every run writes machine-readable results to BENCH_perf.json (override the
 // path with CLOUDGEN_BENCH_OUT). The file is a cloudgen.metrics.v1 registry
@@ -17,7 +17,7 @@
 // < 1.05), and the hardware parallelism used
 // for the threaded variants under bench.hardware_threads. The speedups
 // compare the seed's reference kernels / single-thread / allocating step
-// paths against the blocked + thread-sharded + zero-allocation substrate on
+// paths against the blocked + data-parallel + zero-allocation substrate on
 // the same machine.
 #include <algorithm>
 #include <cmath>
@@ -53,9 +53,9 @@ size_t HardwareThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-// --- GEMM: reference oracle vs blocked vs thread-sharded -------------------
+// --- GEMM: reference oracle vs blocked -------------------------------------
 
-double BenchGemm(size_t n, double* blocked_ms, double* threaded_ms) {
+double BenchGemm(size_t n, double* blocked_ms) {
   Rng rng(1);
   Matrix a(n, n);
   Matrix b(n, n);
@@ -66,15 +66,9 @@ double BenchGemm(size_t n, double* blocked_ms, double* threaded_ms) {
   const double ref_ms = RunBench("gemm_reference_" + dim, [&] {
     GemmReference(false, false, 1.0f, a, b, 0.0f, &c);
   });
-  SetGlobalThreads(1);
   *blocked_ms = RunBench("gemm_blocked_" + dim, [&] {
     Gemm(false, false, 1.0f, a, b, 0.0f, &c);
   });
-  SetGlobalThreads(HardwareThreads());
-  *threaded_ms = RunBench("gemm_threads_" + dim, [&] {
-    Gemm(false, false, 1.0f, a, b, 0.0f, &c);
-  });
-  SetGlobalThreads(1);
   return ref_ms;
 }
 
@@ -336,22 +330,25 @@ double BenchGenGuardedStep() {
 // --- Batched multi-stream step vs 64 one-row steps --------------------------
 //
 // The batched inference engine's payoff: advancing B concurrent streams as
-// one blocked (and thread-sharded) GEMM batch per layer instead of B
-// per-stream GEMVs. Both variants run the same LSTM step without allocating
-// and produce bitwise-identical per-row outputs (see
-// tests/batch_gen_test.cc); this measures only the throughput gap at the
-// engine's gate batch size (64 streams).
-double BenchGenBatched(size_t hw) {
+// one blocked GEMM batch per layer instead of B per-stream GEMVs. Both
+// variants run the same LSTM step on one thread without allocating and
+// produce bitwise-identical per-row outputs (see tests/batch_gen_test.cc);
+// this measures only the throughput gap at the engine's gate batch size (64
+// streams). Each side's sample is kReps passes, and the sides alternate and
+// keep their minima, as the guard bench does: a single mean per side lets
+// scheduler noise decide a gate whose true margin is a few tens of percent.
+double BenchGenBatched() {
   constexpr size_t kStreams = 64;
   constexpr size_t kInput = 96;
   constexpr size_t kHidden = 64;
   constexpr size_t kOutput = 47;
+  constexpr int kReps = 16;
+  SetGlobalThreads(1);
   SequenceNetwork network = MakeNetwork(kInput, kHidden, kOutput);
   Rng rng(21);
 
   // One row at a time: each stream steps alone, as single-stream
   // generation does (one state + workspace per stream).
-  SetGlobalThreads(1);
   std::vector<LstmState> states;
   std::vector<StepWorkspace> workspaces(kStreams);
   Matrix inputs(kStreams, kInput);
@@ -361,31 +358,47 @@ double BenchGenBatched(size_t hw) {
   }
   Matrix x(1, kInput);
   Matrix logits;
-  const double single_ms = RunBench("gen_step_single64", [&] {
-    for (size_t s = 0; s < kStreams; ++s) {
-      std::copy(inputs.Row(s), inputs.Row(s) + kInput, x.Row(0));
-      network.StepLogits(x, &states[s], &logits, &workspaces[s]);
-    }
-  });
-
-  // Batched route: the same 64 steps as one StepBatch tick, with the global
-  // pool sized to the hardware threads. Its GEMMs (at most 3.2 MFLOP) fall
-  // below the GEMM's pool-dispatch threshold and run inline, as the
-  // engine's do under automatic sharding, where each batch window steps
-  // inside a pool task.
-  SetGlobalThreads(hw);
+  // Batched route: the same 64 steps as one StepBatch tick.
   BatchStepWorkspace bws;
   network.EnsureBatchStep(kStreams, &bws);
   for (size_t s = 0; s < kStreams; ++s) {
     std::copy(inputs.Row(s), inputs.Row(s) + kInput, bws.x.Row(s));
   }
-  const double batched_ms = RunBench("gen_step_batched64", [&] {
-    network.StepBatch(&bws);
-  });
-  SetGlobalThreads(1);
+  const auto time_once = [&](bool batched) {
+    Timer timer;
+    for (int rep = 0; rep < kReps; ++rep) {
+      if (batched) {
+        network.StepBatch(&bws);
+        continue;
+      }
+      for (size_t s = 0; s < kStreams; ++s) {
+        std::copy(inputs.Row(s), inputs.Row(s) + kInput, x.Row(0));
+        network.StepLogits(x, &states[s], &logits, &workspaces[s]);
+      }
+    }
+    return timer.ElapsedSeconds() * 1000.0 / kReps;
+  };
+
+  (void)time_once(false);  // Warm-up.
+  (void)time_once(true);
+  double single_ms = 0.0;
+  double batched_ms = 0.0;
+  constexpr int kRounds = 24;
+  for (int round = 0; round < kRounds; ++round) {
+    const double single = time_once(false);
+    const double batched = time_once(true);
+    single_ms = round == 0 ? single : std::min(single_ms, single);
+    batched_ms = round == 0 ? batched : std::min(batched_ms, batched);
+  }
+  std::printf("%-28s %10.3f ms/iter  (min of %d)\n", "gen_step_single64", single_ms,
+              kRounds);
+  std::printf("%-28s %10.3f ms/iter  (min of %d)\n", "gen_step_batched64", batched_ms,
+              kRounds);
 
   const double tokens = static_cast<double>(kStreams);
   obs::Registry& registry = obs::Registry::Global();
+  registry.GetGauge("bench.gen_step_single64.ms_per_iter").Set(single_ms);
+  registry.GetGauge("bench.gen_step_batched64.ms_per_iter").Set(batched_ms);
   registry.GetGauge("bench.gen.tokens_per_sec_batched")
       .Set(batched_ms > 0.0 ? tokens * 1000.0 / batched_ms : 0.0);
   return batched_ms > 0.0 ? single_ms / batched_ms : 0.0;
@@ -516,26 +529,27 @@ double BenchFidelityOverhead(size_t hw, const WorkloadModel& model) {
 
 // --- Sharded tick scheduler vs one batch window ----------------------------
 //
-// The sharded generation scheduler's payoff: GenerateMany with one batch
-// window in flight per pool worker (gen_shards = 0, auto) vs the
-// single-window batched engine (gen_shards = 1). The bytes are identical
-// either way (tests/batch_gen_test.cc); this measures only wall-clock. The
-// variants alternate and keep their minima — on few-core boxes the two do
-// nearly identical work, and one-sided scheduler noise would otherwise read
-// as a regression. Returns single-shard / sharded time (>= 1 means sharding
-// helps or is free; the CI gate expects >= 1.5 on >= 4 hardware threads).
+// The sharded generation scheduler's payoff: GenerateMany on a pool of the
+// hardware threads, which keeps one batch window in flight per thread, vs
+// the single-window batched engine on a one-thread pool. The bytes are
+// identical either way (tests/batch_gen_test.cc); this measures only
+// wall-clock. The variants alternate and keep their minima — on few-core
+// boxes the two do nearly identical work, and one-sided scheduler noise
+// would otherwise read as a regression. Returns single-shard / sharded time
+// (>= 1 means sharding helps or is free; the CI gate expects >= 1.5 on >= 4
+// hardware threads).
 double BenchGenSharded(size_t hw, const WorkloadModel& model) {
   WorkloadModel::GenerateOptions options;
   options.from_period = 3 * kPeriodsPerDay;
   options.to_period = 4 * kPeriodsPerDay;
   // A small window keeps per-shard batches meaningful at this trace count
-  // (auto-sharding splits the 16 traces round-robin across the workers).
+  // (sharding splits the 16 traces round-robin across the threads).
   options.batch_window = 16;
   constexpr size_t kMany = 16;
 
-  SetGlobalThreads(hw);
-  const auto time_once = [&](size_t shards) {
-    options.gen_shards = shards;
+  // The pool is resized outside the timed region.
+  const auto time_once = [&](size_t threads) {
+    SetGlobalThreads(threads);
     Timer timer;
     Rng rng(17);
     (void)model.GenerateMany(options, kMany, rng);
@@ -545,7 +559,7 @@ double BenchGenSharded(size_t hw, const WorkloadModel& model) {
   // Tokens (LSTM steps) per sharded run, for the throughput gauge.
   obs::Counter& rows_counter = obs::Registry::Global().GetCounter("gen.batch.rows");
   const uint64_t rows_before = rows_counter.Value();
-  (void)time_once(0);
+  (void)time_once(hw);
   const double tokens = static_cast<double>(rows_counter.Value() - rows_before);
 
   double single_ms = 0.0;
@@ -553,7 +567,7 @@ double BenchGenSharded(size_t hw, const WorkloadModel& model) {
   constexpr int kRounds = 12;
   for (int round = 0; round < kRounds; ++round) {
     const double single = time_once(1);
-    const double sharded = time_once(0);
+    const double sharded = time_once(hw);
     single_ms = round == 0 ? single : std::min(single_ms, single);
     sharded_ms = round == 0 ? sharded : std::min(sharded_ms, sharded);
   }
@@ -607,12 +621,10 @@ int Main() {
   registry.GetGauge("bench.hardware_threads").Set(static_cast<double>(hw));
 
   double blocked_ms = 0.0;
-  double threaded_ms = 0.0;
-  BenchGemm(64, &blocked_ms, &threaded_ms);
-  BenchGemm(128, &blocked_ms, &threaded_ms);
-  const double gemm_ref_ms = BenchGemm(256, &blocked_ms, &threaded_ms);
-  const double gemm_best = std::min(blocked_ms, threaded_ms);
-  const double gemm_speedup = gemm_best > 0.0 ? gemm_ref_ms / gemm_best : 0.0;
+  BenchGemm(64, &blocked_ms);
+  BenchGemm(128, &blocked_ms);
+  const double gemm_ref_ms = BenchGemm(256, &blocked_ms);
+  const double gemm_speedup = blocked_ms > 0.0 ? gemm_ref_ms / blocked_ms : 0.0;
 
   const double bptt_serial = BenchBptt(1, "bptt_1thread");
   const double bptt_parallel = BenchBptt(hw, "bptt_threads");
@@ -624,7 +636,7 @@ int Main() {
 
   const double fastpath_speedup = BenchGenFastPath();
   const double guard_overhead_pct = BenchGenGuardedStep();
-  const double batched_speedup = BenchGenBatched(hw);
+  const double batched_speedup = BenchGenBatched();
   WorkloadModel bench_model;
   double fidelity_ratio = 0.0;
   double sharded_speedup = 0.0;

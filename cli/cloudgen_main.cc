@@ -90,14 +90,13 @@ int Usage() {
       "            --out GEN.csv | --out-dir DIR [--segment-bytes N]\n"
       "            [--resume-gen] [--deadline-sec S]\n"
       "            [--guard off|abort|resample|fallback] [--batch-window N]\n"
-      "            [--gen-shards N]\n"
       "  segcat    --dir DIR [--out FILE] [--allow-partial]\n"
       "  metrics-dump  --in METRICS.json [--prom]\n"
       "  serve     --jobs JOBS.csv --flavors FLAVORS.csv --train-days N\n"
       "            --model PREFIX --from-day D --days K [--port P] [--bind A]\n"
       "            [--state-dir DIR] [--max-streams N] [--max-streams-per-tenant N]\n"
       "            [--max-buffer-mb N] [--idle-timeout-sec S] [--io-timeout-sec S]\n"
-      "            [--stall-timeout-sec S] [--gen-shards N]\n"
+      "            [--stall-timeout-sec S]\n"
       "  fetch     --port P [--host H] --tenant T --stream S --seed N --traces N\n"
       "            --out FILE [--resume] [--retry-attempts N] [--retry-base-ms MS]\n"
       "            [--credit-bytes N] [--io-timeout-sec S]\n"
@@ -117,7 +116,8 @@ int Usage() {
       "  --checkpoint  write per-epoch training checkpoints under this prefix\n"
       "  --resume      resume training from --checkpoint files if present\n"
       "  --threads     worker threads for training/generation (0 = all cores;\n"
-      "                default 1; results are identical for every N)\n"
+      "                default 1; generate/serve keep one batch window in\n"
+      "                flight per thread; results are identical for every N)\n"
       "  --traces      generate: number of independent traces to sample; trace\n"
       "                i goes to OUT with suffix .i before the extension\n"
       "  --metrics-out write a JSON metrics snapshot (counters, gauges,\n"
@@ -141,10 +141,6 @@ int Usage() {
       "                inference engine (default 256; must be >= 1; 1 = one\n"
       "                stream per step; output bytes are identical for every\n"
       "                setting)\n"
-      "  --gen-shards  generate/serve: independent batch windows in flight on\n"
-      "                the thread pool (default 0 = one per worker thread;\n"
-      "                1 = single window; output bytes are identical for\n"
-      "                every setting)\n"
       "  --fault-plan  arm the deterministic fault injector from a plan file\n"
       "                (same grammar as CLOUDGEN_FAULT_PLAN; see\n"
       "                docs/ROBUSTNESS.md); --fault-seed picks the schedule.\n"
@@ -382,12 +378,6 @@ int RunGenerate(const Flags& flags) {
     return kExitUsage;
   }
   options.batch_window = static_cast<size_t>(batch_window);
-  const long gen_shards = flags.GetLong("gen-shards", 0);
-  if (gen_shards < 0) {
-    std::fprintf(stderr, "--gen-shards must be >= 0\n");
-    return kExitUsage;
-  }
-  options.gen_shards = static_cast<size_t>(gen_shards);
   if (flags.Has("fidelity")) {
     // Observe-only: computes RNG-free references from the loaded networks and
     // enables the global monitor. Generated bytes are unaffected.
@@ -525,12 +515,6 @@ int RunServe(const Flags& flags) {
     std::fprintf(stderr, "--guard must be off|abort|resample|fallback\n");
     return kExitUsage;
   }
-  const long serve_gen_shards = flags.GetLong("gen-shards", 0);
-  if (serve_gen_shards < 0) {
-    std::fprintf(stderr, "--gen-shards must be >= 0\n");
-    return kExitUsage;
-  }
-  options.gen.gen_shards = static_cast<size_t>(serve_gen_shards);
   if (flags.Has("fidelity")) {
     model.EnableFidelityMonitor(options.gen);
   }

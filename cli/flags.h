@@ -1,5 +1,6 @@
 // Minimal --flag=value / --flag value command-line parsing for the cloudgen
-// CLI. Unknown flags are errors; every command documents its flags in Usage().
+// CLI. Parse stores every `--name`, known or not; a command reads only the
+// flags it documents in Usage(), so an unknown flag is accepted and ignored.
 #ifndef CLI_FLAGS_H_
 #define CLI_FLAGS_H_
 
@@ -39,7 +40,7 @@ inline bool Flags::Parse(int argc, char** argv, int first) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "1";  // Boolean flag.
+      values_[arg] = std::string("1");  // Boolean flag.
     }
   }
   return true;

@@ -411,19 +411,14 @@ void RunShardedBatchEngines(const WorkloadModel& model,
     engines.push_back(std::make_unique<BatchTraceEngine>(model, options, base));
     engines.back()->RunStrided(first, 1, end, window, in_order_emit);
   } else {
-    // One engine per shard, each a pool task. The inner cap splits the pool
-    // evenly so shards x inner <= pool size (see ScopedInnerParallelism);
-    // with fewer cores than shards every shard's inner GEMMs just run inline.
-    const size_t inner = std::max<size_t>(1, GlobalParallelism() / shards);
+    // One engine per shard, each a pool task.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(shards);
     for (size_t s = 0; s < shards; ++s) {
       engines.push_back(std::make_unique<BatchTraceEngine>(model, options, base));
       BatchTraceEngine* engine = engines.back().get();
       const size_t shard_first = first + s;
-      tasks.push_back([engine, shard_first, shards, end, window, inner,
-                       &in_order_emit] {
-        ScopedInnerParallelism scope(inner);
+      tasks.push_back([engine, shard_first, shards, end, window, &in_order_emit] {
         engine->RunStrided(shard_first, shards, end, window, in_order_emit);
       });
     }

@@ -195,16 +195,16 @@ class BatchTraceEngine {
 // `shards` independent BatchTraceEngines (shard s owns indices first + s,
 // first + s + shards, ...) and runs one engine per ThreadPool task, so up to
 // `shards` batch windows are in flight at once. Each shard owns its own
-// machines, workspaces, and per-stream Rng::Streams, and runs its inner
-// per-layer GEMM fan-out under ScopedInnerParallelism(pool / shards) so
-// shards never oversubscribe the pool. Engines retire traces in completion
-// order; this function holds the one reorder buffer in generation, so `emit`
-// sees traces strictly in index order, one call at a time, and because
-// every trace is a pure function of (base, index) the output is
-// byte-identical at any window, shard and thread count. `emit` returning
-// false stops every shard early; it is not called again. Records the
-// `gen.shard.{ticks,rows}` counters and `gen.shard.occupancy` gauge.
-// `shards <= 1` runs one engine on the calling thread. `window` must be >= 1.
+// machines, workspaces, and per-stream Rng::Streams; its GEMMs run inline on
+// the shard's thread, as every section inside a pool task does. Engines
+// retire traces in completion order; this function holds the one reorder
+// buffer in generation, so `emit` sees traces strictly in index order, one
+// call at a time, and because every trace is a pure function of (base,
+// index) the output is byte-identical at any window, shard and thread count.
+// `emit` returning false stops every shard early; it is not called again.
+// Records the `gen.shard.{ticks,rows}` counters and `gen.shard.occupancy`
+// gauge. `shards <= 1` runs one engine on the calling thread. `window` must
+// be >= 1.
 void RunShardedBatchEngines(const WorkloadModel& model,
                             const WorkloadModel::GenerateOptions& options,
                             uint64_t base, size_t first, size_t count,

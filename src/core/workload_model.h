@@ -77,25 +77,7 @@ class WorkloadModel {
     // Deliberately NOT part of the resume fingerprint: checkpoints transfer
     // across window settings.
     size_t batch_window = 256;
-    // Number of independent batch windows in flight (sharded tick
-    // scheduler, src/core/batch_generator.h): the trace population is
-    // round-robin partitioned across this many BatchTraceEngines, one per
-    // ThreadPool task, so generation scales with cores beyond the
-    // GEMM-level parallelism of one window. 0 (the default) auto-sizes to
-    // the pool (see EffectiveGenShards); 1 forces the single-window
-    // scheduler. Like batch_window this is purely a throughput knob — every
-    // trace is a pure function of (base, index), so bytes are identical at
-    // any shard count — and it is likewise NOT part of the resume
-    // fingerprint: checkpoints transfer across shard settings. Ignored by
-    // the single-trace routes (Generate, GenerateStreaming).
-    size_t gen_shards = 0;
   };
-
-  // Shard count the batched engine actually uses: `options.gen_shards` when
-  // set, else one shard per pool thread, both clamped to the population
-  // (never more shards than traces, never 0). With a 1-thread pool the auto
-  // default is 1 — the sharded scheduler only engages when it can overlap.
-  static size_t EffectiveGenShards(const GenerateOptions& options, size_t count);
 
   // Samples one synthetic trace covering [from_period, to_period). One DOH
   // day is sampled per trace so the whole sample coheres with one recent-past
@@ -176,8 +158,8 @@ class WorkloadModel {
 
   // Appends the concatenated rows (AppendJobRow format) of traces
   // [first, first + count), in index order — the bytes GenerateMany would
-  // flush for that index range. The range shares one batched (and, when
-  // profitable, sharded) engine run, so the serve fetch path amortizes
+  // flush for that index range. The range shares one batched engine run,
+  // sharded one window per pool thread, so the serve fetch path amortizes
   // window fill across traces instead of paying a cold engine per trace.
   void GenerateTraceRowsRange(const GenerateOptions& options, uint64_t base,
                               size_t first, size_t count, std::string* out) const;

@@ -4,7 +4,7 @@
 // Hot-path contract: an update on an already-registered metric is a handful of
 // relaxed atomic operations — no locks, no allocation. Counters and histograms
 // shard their cells across a small fixed array indexed by a dense per-thread
-// id, so concurrent writers from the thread pool (ParallelFor, GEMM shards)
+// id, so concurrent writers from the thread pool (BPTT and generation shards)
 // rarely touch the same cache line; a snapshot sums the shards. Registration
 // (name lookup) takes a mutex and is meant to happen once per call site —
 // cache the returned reference, e.g. in a function-local static.

@@ -88,7 +88,7 @@ struct ServerOptions {
   int idle_timeout_ms = 30000;  // Max quiet time waiting for a client frame.
   size_t max_chunk_bytes = 64u << 10;  // Largest single DATA payload.
   // Traces regenerated per engine run on the stream path. A chunk > 1 lets
-  // the batched (and, with gen.gen_shards, sharded) engine fill its windows
+  // the batched engine, sharded one window per pool thread, fill its windows
   // across traces instead of paying a cold engine per trace; bytes are
   // identical either way. When a chunk's buffer reservation trips admission
   // control, the session falls back to one trace at a time, so forward

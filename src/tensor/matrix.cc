@@ -7,7 +7,6 @@
 
 #include "src/util/check.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace cloudgen {
 
@@ -159,9 +158,8 @@ void RefGemmTT(float alpha, const Matrix& a, const Matrix& b, Matrix* c) {
 // chains, so -O3 vectorizes it without -ffast-math.
 //
 // Determinism: each output element C(i,j) is one accumulation chain with p
-// strictly ascending, regardless of which tile (full or edge) covers it and
-// regardless of row sharding across threads. Results are therefore bitwise
-// identical for any thread count.
+// strictly ascending, regardless of which tile (full or edge) covers it, so
+// the result does not depend on the tile partitioning.
 
 constexpr size_t kRowTile = 4;   // C rows per register tile.
 constexpr size_t kColTile = 32;  // C cols per register tile.
@@ -425,73 +423,40 @@ void SmallTT(float alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-// Row-range kernels: compute C rows [row_begin, row_end). These are the unit
-// of thread sharding; see the determinism note above.
-
-void BlockedNN(float alpha, const Matrix& a, const Matrix& b, Matrix* c, size_t row_begin,
-               size_t row_end) {
+void BlockedNN(float alpha, const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t m = c->Rows();
   const size_t n = b.Cols();
-  for (size_t i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-    const size_t rows = std::min(kRowTile, row_end - i0);
+  for (size_t i0 = 0; i0 < m; i0 += kRowTile) {
+    const size_t rows = std::min(kRowTile, m - i0);
     for (size_t j0 = 0; j0 < n; j0 += kColTile) {
       TileNN(alpha, a, b, c, i0, j0, rows, std::min(kColTile, n - j0));
     }
   }
 }
 
-void BlockedTN(float alpha, const Matrix& a, const Matrix& b, Matrix* c, size_t row_begin,
-               size_t row_end) {
+void BlockedTN(float alpha, const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t m = c->Rows();
   const size_t n = b.Cols();
-  for (size_t i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-    const size_t rows = std::min(kRowTile, row_end - i0);
+  for (size_t i0 = 0; i0 < m; i0 += kRowTile) {
+    const size_t rows = std::min(kRowTile, m - i0);
     for (size_t j0 = 0; j0 < n; j0 += kColTile) {
       TileTN(alpha, a, b, c, i0, j0, rows, std::min(kColTile, n - j0));
     }
   }
 }
 
-void BlockedNT(float alpha, const Matrix& a, const Matrix& b, Matrix* c, size_t row_begin,
-               size_t row_end) {
+void BlockedNT(float alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   // C(i,j) += alpha * dot(A.row(i), B.row(j)); both operands stride-1.
+  const size_t m = c->Rows();
   const size_t k = a.Cols();
   const size_t n = b.Rows();
-  for (size_t i = row_begin; i < row_end; ++i) {
+  for (size_t i = 0; i < m; ++i) {
     const float* a_row = a.Row(i);
     float* c_row = c->Row(i);
     for (size_t j = 0; j < n; ++j) {
       c_row[j] += alpha * DotFixed(a_row, b.Row(j), k);
     }
   }
-}
-
-using RangeKernel = void (*)(float, const Matrix&, const Matrix&, Matrix*, size_t, size_t);
-
-// Shards C's rows across the global pool when the problem is big enough to
-// amortize dispatch; runs inline otherwise.
-void RunSharded(RangeKernel kernel, float alpha, const Matrix& a, const Matrix& b,
-                Matrix* c, size_t k) {
-  const size_t m = c->Rows();
-  const size_t n = c->Cols();
-  // ~4 MFLOP minimum per parallel dispatch. At N = 256 on a 4-vCPU Xeon, a
-  // 4-thread pool took 0.93-3.0x the inline time below 3.2 MFLOP, which
-  // covers the LSTM step's GEMMs (M up to 64, K 64-96), and 0.59-0.97x from
-  // 4.2 MFLOP up. Without workers the pool would run inline anyway; skipping
-  // the dispatch entirely also skips the task closure allocations, which
-  // keeps the batched generation step allocation-free on a single-threaded
-  // pool.
-  const bool parallel = 2 * m * n * k >= (1u << 22) && m >= 2 * kRowTile &&
-                        GlobalThreadPool().HasWorkers();
-  if (!parallel) {
-    kernel(alpha, a, b, c, 0, m);
-    return;
-  }
-  // Shard at row-tile granularity; chunking is free to vary (determinism is
-  // per-element, not per-chunk).
-  const size_t num_blocks = (m + kRowTile - 1) / kRowTile;
-  GlobalThreadPool().ParallelFor(0, num_blocks, [&](size_t block) {
-    const size_t lo = block * kRowTile;
-    kernel(alpha, a, b, c, lo, std::min(m, lo + kRowTile));
-  });
 }
 
 void ApplyBeta(float beta, Matrix* c) {
@@ -502,31 +467,32 @@ void ApplyBeta(float beta, Matrix* c) {
   }
 }
 
-void CheckGemmShapes(bool trans_a, bool trans_b, const Matrix& a, const Matrix& b,
-                     Matrix* c, size_t* m, size_t* k) {
+// Validates the operand shapes and returns m, the row count of C.
+size_t CheckGemmShapes(bool trans_a, bool trans_b, const Matrix& a, const Matrix& b,
+                       Matrix* c) {
   CG_CHECK(c != nullptr);
-  *m = trans_a ? a.Cols() : a.Rows();
+  const size_t m = trans_a ? a.Cols() : a.Rows();
   const size_t ka = trans_a ? a.Rows() : a.Cols();
   const size_t kb = trans_b ? b.Cols() : b.Rows();
   const size_t n = trans_b ? b.Rows() : b.Cols();
   CG_CHECK_MSG(ka == kb, "Gemm inner-dimension mismatch");
-  CG_CHECK_MSG(c->Rows() == *m && c->Cols() == n, "Gemm output shape mismatch");
-  *k = ka;
+  CG_CHECK_MSG(c->Rows() == m && c->Cols() == n, "Gemm output shape mismatch");
+  return m;
 }
 
 // The accumulate phase of the tile-only path (after ApplyBeta).
 void RunTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
-              Matrix* c, size_t k) {
+              Matrix* c) {
   if (!trans_a && !trans_b) {
-    RunSharded(BlockedNN, alpha, a, b, c, k);
+    BlockedNN(alpha, a, b, c);
   } else if (trans_a && !trans_b) {
-    RunSharded(BlockedTN, alpha, a, b, c, k);
+    BlockedTN(alpha, a, b, c);
   } else if (!trans_a && trans_b) {
-    RunSharded(BlockedNT, alpha, a, b, c, k);
+    BlockedNT(alpha, a, b, c);
   } else {
     // Rare path: materialize A^T and reuse the NT kernel.
     const Matrix at = a.Transposed();
-    RunSharded(BlockedNT, alpha, at, b, c, k);
+    BlockedNT(alpha, at, b, c);
   }
 }
 
@@ -534,9 +500,7 @@ void RunTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Ma
 
 void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix* c) {
-  size_t m = 0;
-  size_t k = 0;
-  CheckGemmShapes(trans_a, trans_b, a, b, c, &m, &k);
+  const size_t m = CheckGemmShapes(trans_a, trans_b, a, b, c);
   ApplyBeta(beta, c);
   if (m < kRowTile) {
     // GEMV-shaped outputs: single pass over op(B), same per-element chains.
@@ -546,22 +510,20 @@ void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix
       SmallTN(alpha, a, b, c);
     } else if (!trans_a && trans_b) {
       // BlockedNT is already row-by-row with no cross-row state.
-      BlockedNT(alpha, a, b, c, 0, m);
+      BlockedNT(alpha, a, b, c);
     } else {
       SmallTT(alpha, a, b, c);
     }
     return;
   }
-  RunTiled(trans_a, trans_b, alpha, a, b, c, k);
+  RunTiled(trans_a, trans_b, alpha, a, b, c);
 }
 
 void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
                float beta, Matrix* c) {
-  size_t m = 0;
-  size_t k = 0;
-  CheckGemmShapes(trans_a, trans_b, a, b, c, &m, &k);
+  CheckGemmShapes(trans_a, trans_b, a, b, c);
   ApplyBeta(beta, c);
-  RunTiled(trans_a, trans_b, alpha, a, b, c, k);
+  RunTiled(trans_a, trans_b, alpha, a, b, c);
 }
 
 void GemvAccumulate(const float* x, size_t k, const float* w, size_t ldw, size_t n,

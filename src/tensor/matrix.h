@@ -89,10 +89,10 @@ class Matrix {
 // C = alpha * op(A) * op(B) + beta * C, where op is optional transposition.
 // Shapes are validated with CG_CHECK.
 //
-// Uses register-tiled, stride-1-vectorizable blocked kernels, sharded across
-// the global thread pool for large problems. Every output element is a
-// single fixed-order accumulation chain (k ascending), so the result is
-// bitwise-identical for any tile partitioning and any thread count.
+// Uses register-tiled, stride-1-vectorizable blocked kernels on the calling
+// thread. Every output element is a single fixed-order accumulation chain
+// (k ascending), so the result is bitwise-identical for any tile
+// partitioning.
 //
 // When op(A) has fewer rows than the tile height, dispatches to GEMV-shaped
 // small-M kernels that stream op(B) exactly once instead of once per column

@@ -3,8 +3,8 @@
 // A CancelToken is a cheap flag shared between a requester (a SIGINT/SIGTERM
 // handler, a CLI deadline, or a test) and the loops doing the work. The
 // contract is *cooperative*: nothing is interrupted mid-write — loops check
-// the token at safe boundaries (between ParallelFor indices, between
-// generation periods, inside per-period token loops) and wind down cleanly,
+// the token at safe boundaries (between traces, between generation
+// periods, inside per-period token loops) and wind down cleanly,
 // sealing the current output segment and writing a generation checkpoint so
 // the run can be resumed bitwise-identically.
 //

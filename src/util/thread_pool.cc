@@ -3,37 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <utility>
 
 #include "src/obs/metrics.h"
-#include "src/util/cancel.h"
 
 namespace cloudgen {
 namespace {
 
 // Set while a thread is executing a pool task; nested parallel sections on
-// such a thread run inline instead of re-entering the queue (unless the task
-// opted into bounded fan-out below).
+// such a thread run inline instead of re-entering the queue.
 thread_local bool t_inside_pool_task = false;
-
-// Active ScopedInnerParallelism cap for this thread; 0 means "no scope", in
-// which case the default for the current context applies (1 inside a pool
-// task, whole pool otherwise).
-thread_local size_t t_inner_cap = 0;
-
-constexpr size_t kUnboundedBudget = std::numeric_limits<size_t>::max();
-
-// Concurrency budget for a parallel section issued from this thread: the
-// scoped cap when one is active, else inline-only inside a pool task and
-// pool-sized at top level. A budget of 1 means "run everything inline".
-size_t CurrentBudget() {
-  if (t_inner_cap > 0) {
-    return t_inner_cap;
-  }
-  return t_inside_pool_task ? 1 : kUnboundedBudget;
-}
 
 // Pool telemetry (docs/OBSERVABILITY.md). Cached references: registration
 // locks once per process, updates are relaxed atomics on the hot path.
@@ -115,33 +95,12 @@ void ThreadPool::RunAll(const std::vector<std::function<void()>>& tasks) {
   if (tasks.empty()) {
     return;
   }
-  const size_t budget = CurrentBudget();
-  if (workers_.empty() || tasks.size() == 1 || budget <= 1) {
+  if (workers_.empty() || tasks.size() == 1 || t_inside_pool_task) {
     InlineTasksCounter().Add(tasks.size());
     for (const auto& task : tasks) {
       task();
     }
     return;
-  }
-
-  // A bounded section may enqueue at most `budget` units so a capped caller
-  // never occupies more than its share of the pool; fold excess tasks into
-  // composites. Safe to capture `tasks` by reference: RunAll blocks until
-  // every unit has finished.
-  std::vector<std::function<void()>> grouped;
-  const std::vector<std::function<void()>>* units = &tasks;
-  if (budget != kUnboundedBudget && tasks.size() > budget) {
-    const size_t per = (tasks.size() + budget - 1) / budget;
-    grouped.reserve((tasks.size() + per - 1) / per);
-    for (size_t lo = 0; lo < tasks.size(); lo += per) {
-      const size_t hi = std::min(tasks.size(), lo + per);
-      grouped.push_back([&tasks, lo, hi] {
-        for (size_t i = lo; i < hi; ++i) {
-          tasks[i]();
-        }
-      });
-    }
-    units = &grouped;
   }
 
   // Completion latch + first-exception capture shared by all submitted tasks.
@@ -152,11 +111,11 @@ void ThreadPool::RunAll(const std::vector<std::function<void()>>& tasks) {
     std::exception_ptr error;
   };
   auto batch = std::make_shared<Batch>();
-  batch->remaining = units->size();
+  batch->remaining = tasks.size();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& task : *units) {
+    for (const auto& task : tasks) {
       queue_.push([task, batch] {
         try {
           task();
@@ -178,9 +137,9 @@ void ThreadPool::RunAll(const std::vector<std::function<void()>>& tasks) {
 
   // Help drain the queue instead of blocking: the caller may hold the only
   // non-worker thread, and stealing keeps small pools busy. Stolen tasks run
-  // with the default inner budget (inline) and the caller's own context is
-  // saved/restored — a nested submitter that drains here must not leak
-  // "inside pool task" state or its cap into or out of stolen work.
+  // as pool tasks (their nested sections inline) and the caller's own
+  // context is restored afterwards, so a top-level caller's next section
+  // still fans out.
   while (true) {
     std::function<void()> task;
     {
@@ -195,13 +154,10 @@ void ThreadPool::RunAll(const std::vector<std::function<void()>>& tasks) {
       break;
     }
     const bool was_inside = t_inside_pool_task;
-    const size_t saved_cap = t_inner_cap;
     t_inside_pool_task = true;
-    t_inner_cap = 0;
     TasksRunCounter().Add(1);
     task();
     t_inside_pool_task = was_inside;
-    t_inner_cap = saved_cap;
   }
   {
     std::unique_lock<std::mutex> lock(batch->mu);
@@ -219,18 +175,15 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   }
   ParallelForCounter().Add(1);
   const size_t range = end - begin;
-  const size_t budget = CurrentBudget();
-  if (workers_.empty() || range == 1 || budget <= 1) {
+  if (workers_.empty() || range == 1 || t_inside_pool_task) {
     for (size_t i = begin; i < end; ++i) {
       fn(i);
     }
     return;
   }
   // Over-decompose mildly for load balance; chunk boundaries are irrelevant
-  // to results (see determinism contract in the header). Bounded sections
-  // cut exactly `budget` chunks instead so their concurrency is capped.
-  const size_t max_chunks = std::min(
-      range, budget == kUnboundedBudget ? workers_.size() * 4 : budget);
+  // to results (see determinism contract in the header).
+  const size_t max_chunks = std::min(range, workers_.size() * 4);
   const size_t chunk = (range + max_chunks - 1) / max_chunks;
   std::vector<std::function<void()>> tasks;
   tasks.reserve((range + chunk - 1) / chunk);
@@ -244,27 +197,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   }
   RunAll(tasks);
 }
-
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn,
-                             const CancelToken* cancel) {
-  if (cancel == nullptr) {
-    ParallelFor(begin, end, fn);
-    return;
-  }
-  ParallelFor(begin, end, [&fn, cancel](size_t i) {
-    if (cancel->Cancelled()) {
-      return;
-    }
-    fn(i);
-  });
-}
-
-ScopedInnerParallelism::ScopedInnerParallelism(size_t cap) : saved_(t_inner_cap) {
-  t_inner_cap = std::max<size_t>(1, cap);
-}
-
-ScopedInnerParallelism::~ScopedInnerParallelism() { t_inner_cap = saved_; }
 
 namespace {
 

@@ -1,25 +1,18 @@
 // Shared worker-thread pool and the ParallelFor primitive used by the
-// compute substrate (GEMM row-sharding, data-parallel BPTT, and parallel
-// trace generation).
+// compute substrate (data-parallel BPTT and sharded trace generation).
 //
 // Determinism contract: every parallel construct in cloudgen partitions its
 // work into units whose per-unit arithmetic is independent of how units are
-// assigned to threads (disjoint output rows, per-shard gradient buffers
+// assigned to threads (one output per trace, per-shard gradient buffers
 // reduced in fixed order, seed-derived RNG streams). ParallelFor therefore
 // only changes *when* a unit runs, never *what* it computes — `--threads N`
 // must produce bitwise-identical results to `--threads 1` for every N.
 //
-// Nested-submit safety: a ParallelFor issued from inside a pool worker runs
-// inline on the calling thread by default (no re-enqueue), so nested parallel
-// sections (e.g. a parallel GEMM inside a BPTT shard task) cannot deadlock
-// the pool. A task that knows the pool has headroom can opt into *bounded*
-// nested fan-out with ScopedInnerParallelism: nested submits are then split
-// into at most `cap` units, and the submitting thread joins by helping drain
-// the shared queue (it blocks only when the queue is empty and its remaining
-// units are already running on other threads — so no cycle of waiting tasks
-// can form, and concurrency never exceeds the configured cap per section).
-// The sharded generation scheduler uses this so `shards × inner ≤ pool size`
-// instead of shard workers oversubscribing cores with inner GEMM fan-out.
+// One level of parallelism: a parallel section issued from inside a pool
+// task runs inline on the calling thread (no re-enqueue), so nested sections
+// cannot deadlock or oversubscribe the pool; any other section fans out. A
+// top-level caller joins its section by helping drain the shared queue, and
+// the tasks it steals run as pool tasks.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -32,8 +25,6 @@
 #include <vector>
 
 namespace cloudgen {
-
-class CancelToken;
 
 class ThreadPool {
  public:
@@ -48,28 +39,12 @@ class ThreadPool {
   // Number of worker threads (0 when inline-only).
   size_t NumThreads() const { return workers_.size(); }
 
-  // True when worker threads exist, i.e. ParallelFor may actually dispatch.
-  // Allocation-sensitive callers (the batched generation step) use this to
-  // skip building task closures when everything would run inline anyway.
-  bool HasWorkers() const { return !workers_.empty(); }
-
   // Runs fn(i) for every i in [begin, end) and returns when all calls have
   // finished. Indices are grouped into contiguous chunks; chunking never
   // affects results because callers only submit index-independent work.
   // The first exception thrown by any fn(i) is rethrown on the caller after
-  // all work has drained. Called from inside a pool task, runs inline unless
-  // the task opted into bounded nested fan-out (ScopedInnerParallelism), in
-  // which case at most that many chunks run concurrently.
+  // all work has drained. Called from inside a pool task, runs inline.
   void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn);
-
-  // Cancellation-aware variant: once `cancel` is set, remaining indices are
-  // skipped (each shard re-checks the token before every fn(i); the check is
-  // one relaxed load). Indices already started still run to completion —
-  // cancellation is cooperative, never mid-unit — so the caller knows that
-  // every index either ran fully or not at all. `cancel == nullptr` behaves
-  // exactly like the plain overload.
-  void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn,
-                   const CancelToken* cancel);
 
   // Runs every task in `tasks` and returns when all have finished; same
   // exception and nesting semantics as ParallelFor.
@@ -91,31 +66,6 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::queue<std::function<void()>> queue_;
   bool shutdown_ = false;
-};
-
-// RAII cap on the concurrency available to parallel sections issued from the
-// current thread while the scope is alive. Semantics by context:
-//  * inside a pool task, the default (no scope) is 1 — nested submits run
-//    inline, the historical safe behaviour;
-//  * a scope of `cap > 1` lets nested ParallelFor/RunAll fan out into at
-//    most `cap` concurrent units (the submitting thread counts as one; it
-//    joins by helping drain the queue, never by idling on a full queue);
-//  * on a non-pool thread the default is "whole pool", and a scope bounds it
-//    the same way (e.g. a serve connection thread capping its fan-out).
-// `cap == 0` is normalized to 1. Scopes nest; each restores the previous cap.
-// Units spawned by a bounded section run with the default cap (1 when they
-// land on pool threads), so a cap never multiplies transitively —
-// `sections × cap ≤ pool size` is the caller's whole obligation.
-class ScopedInnerParallelism {
- public:
-  explicit ScopedInnerParallelism(size_t cap);
-  ~ScopedInnerParallelism();
-
-  ScopedInnerParallelism(const ScopedInnerParallelism&) = delete;
-  ScopedInnerParallelism& operator=(const ScopedInnerParallelism&) = delete;
-
- private:
-  size_t saved_;
 };
 
 // Process-wide pool used by the compute substrate. Defaults to inline-only

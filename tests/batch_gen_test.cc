@@ -7,10 +7,12 @@
 // the same per-element order as batch-1 GEMVs.
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/batch_generator.h"
 #include "src/core/workload_model.h"
 #include "src/obs/metrics.h"
 #include "src/synth/synthetic_cloud.h"
@@ -98,15 +100,33 @@ void ExpectSameTrace(const Trace& a, const Trace& b, size_t which,
   }
 }
 
+// GenerateMany at seed 99, which keeps one batch window in flight per pool
+// thread.
 std::vector<Trace> GenerateAt(const WorkloadModel& model,
                               WorkloadModel::GenerateOptions options,
-                              size_t count, size_t window, size_t threads,
-                              size_t shards = 1) {
+                              size_t count, size_t window, size_t threads) {
   SetGlobalThreads(threads);
   options.batch_window = window;
-  options.gen_shards = shards;
   Rng rng(99);
   std::vector<Trace> traces = model.GenerateMany(options, count, rng);
+  SetGlobalThreads(1);
+  return traces;
+}
+
+// The sharded scheduler at an explicit shard count, over the trace family
+// GenerateAt draws (seed 99), collected in emit order.
+std::vector<Trace> RunShardedAt(const WorkloadModel& model,
+                                const WorkloadModel::GenerateOptions& options,
+                                size_t count, size_t window, size_t threads,
+                                size_t shards) {
+  SetGlobalThreads(threads);
+  std::vector<Trace> traces;
+  RunShardedBatchEngines(model, options, WorkloadModel::TraceFamilyBase(99), 0, count,
+                         window, shards, [&traces](size_t i, Trace&& trace) {
+                           EXPECT_EQ(i, traces.size()) << "emitted out of index order";
+                           traces.push_back(std::move(trace));
+                           return true;
+                         });
   SetGlobalThreads(1);
   return traces;
 }
@@ -273,17 +293,17 @@ TEST(BatchGenIdentity, FactoredHeadBatchedMatchesOracle) {
 }
 
 // Sharded tick scheduler (RunShardedBatchEngines): the full shards x windows
-// x threads matrix must reproduce the gen_shards = 1 single-window oracle
-// byte for byte. Shards beyond the thread count still run (they just share
-// workers); windows below count/shards force per-shard retire/refill churn.
+// x threads matrix must reproduce the single-window oracle (one thread, so
+// one shard) byte for byte. Shards beyond the thread count still run (they
+// just share workers); windows below count/shards force per-shard
+// retire/refill churn.
 TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
   const WorkloadModel& model = DenseModel();
   const WorkloadModel::GenerateOptions options = BaseOptions();
   constexpr size_t kCount = 70;
 
   const std::vector<Trace> oracle =
-      GenerateAt(model, options, kCount, /*window=*/64, /*threads=*/1,
-                 /*shards=*/1);
+      GenerateAt(model, options, kCount, /*window=*/64, /*threads=*/1);
   size_t total_jobs = 0;
   for (const Trace& trace : oracle) {
     total_jobs += trace.NumJobs();
@@ -297,15 +317,14 @@ TEST(BatchGenIdentity, ShardedMatchesOracleAcrossShardsWindowsAndThreads) {
                                  " window=" + std::to_string(window) +
                                  " threads=" + std::to_string(threads);
         ExpectSameTraces(
-            oracle, GenerateAt(model, options, kCount, window, threads, shards),
+            oracle, RunShardedAt(model, options, kCount, window, threads, shards),
             what);
       }
     }
   }
-  // Auto-sharding (gen_shards = 0 sizes to the pool) is the same bytes too.
+  // GenerateMany's own shard count (one per pool thread) is the same bytes too.
   ExpectSameTraces(oracle,
-                   GenerateAt(model, options, kCount, /*window=*/7,
-                              /*threads=*/4, /*shards=*/0),
+                   GenerateAt(model, options, kCount, /*window=*/7, /*threads=*/4),
                    "auto shards threads=4");
 }
 

@@ -1,16 +1,10 @@
-// CancelToken semantics: request/reason/reset, deadline polling, and the
-// cancellation-aware ParallelFor overload that generation shards use to
-// wind down without abandoning in-flight indices halfway.
+// CancelToken semantics: request/reason/reset and deadline polling.
 #include "src/util/cancel.h"
 
-#include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "src/util/thread_pool.h"
 
 namespace cloudgen {
 namespace {
@@ -90,69 +84,6 @@ TEST(CancelTokenTest, ReasonNamesAreStable) {
   EXPECT_STREQ(CancelReasonName(CancelReason::kRequested), "requested");
   EXPECT_STREQ(CancelReasonName(CancelReason::kSignal), "signal");
   EXPECT_STREQ(CancelReasonName(CancelReason::kDeadline), "deadline");
-}
-
-TEST(CancelTokenTest, ParallelForSkipsRemainingIndicesOnceCancelled) {
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads);
-    CancelToken token;
-    std::atomic<size_t> ran{0};
-    pool.ParallelFor(
-        0, 1000,
-        [&](size_t i) {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          if (i == 10) {
-            token.RequestCancel();
-          }
-        },
-        &token);
-    // ParallelFor returns only after in-flight indices finish; once the flag
-    // is visible, untouched indices are skipped entirely.
-    EXPECT_GE(ran.load(), 11u);
-    EXPECT_LT(ran.load(), 1000u);
-  }
-}
-
-TEST(CancelTokenTest, ParallelForObservesDeadlineExpiringMidLoop) {
-  // Work bodies Poll() at their own safe boundaries (the documented
-  // contract); once a deadline expires mid-loop, the cancel-aware overload
-  // must skip the untouched indices.
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads);
-    CancelToken token;
-    std::atomic<size_t> ran{0};
-    pool.ParallelFor(
-        0, 1000,
-        [&](size_t i) {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          if (i == 10) {
-            token.SetDeadline(-1.0);  // Expires "in the past", mid-loop.
-          }
-          token.Poll();
-        },
-        &token);
-    EXPECT_GE(ran.load(), 11u);
-    EXPECT_LT(ran.load(), 1000u);
-    EXPECT_EQ(token.Reason(), CancelReason::kDeadline);
-  }
-}
-
-TEST(CancelTokenTest, ParallelForNullTokenRunsEverything) {
-  ThreadPool pool(2);
-  std::atomic<size_t> ran{0};
-  pool.ParallelFor(
-      0, 64, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); }, nullptr);
-  EXPECT_EQ(ran.load(), 64u);
-}
-
-TEST(CancelTokenTest, ParallelForPreCancelledRunsNothing) {
-  ThreadPool pool(2);
-  CancelToken token;
-  token.RequestCancel();
-  std::atomic<size_t> ran{0};
-  pool.ParallelFor(
-      0, 64, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); }, &token);
-  EXPECT_EQ(ran.load(), 0u);
 }
 
 }  // namespace

@@ -103,13 +103,12 @@ class GenResumeTest : public ::testing::Test {
   }
 
   // One sink-based run into `dir`. Returns the report; asserts OK status.
-  // `shards` is GenerateOptions::gen_shards (0 = auto-size to the pool).
-  static WorkloadModel::GenerateReport RunSinkOnce(
-      const std::string& dir, bool resume, const CancelToken* cancel,
-      size_t shards = 0) {
+  // The run keeps one batch window in flight per pool thread, so the pool
+  // size set before the call is its shard count.
+  static WorkloadModel::GenerateReport RunSinkOnce(const std::string& dir, bool resume,
+                                                   const CancelToken* cancel) {
     WorkloadModel::GenerateOptions options = Options();
     options.cancel = cancel;
-    options.gen_shards = shards;
     SegmentedFileSink::Options sink_options;
     sink_options.dir = dir;
     sink_options.segment_bytes = 256;  // Several seals per trace.
@@ -272,9 +271,10 @@ TEST_F(GenResumeTest, StreamingDeadlineInterruptsThenResumesByteIdentically) {
   EXPECT_EQ(ConcatOrDie(dir), expected);
 }
 
-// gen_shards is excluded from the checkpoint fingerprint (like batch_window
-// and --threads), so a run checkpointed at one shard count must resume —
-// accepted, not FAILED_PRECONDITION — at any other, byte-identically.
+// The shard count follows the pool size, which (like batch_window) is not
+// in the checkpoint fingerprint, so a run checkpointed at one shard count
+// must resume — accepted, not FAILED_PRECONDITION — at any other,
+// byte-identically.
 TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
   const std::string expected = ExpectedBytes();
 
@@ -282,14 +282,15 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
   // trace-0 checkpoint that a 4-shard resume must accept and complete.
   {
     const std::string dir = Dir("cross_shard_pre");
+    SetGlobalThreads(1);
     CancelToken cancel;
     cancel.RequestCancel();
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/1);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     EXPECT_TRUE(first.interrupted);
     SetGlobalThreads(4);
     const WorkloadModel::GenerateReport second =
-        RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
     EXPECT_TRUE(second.resumed);
     EXPECT_FALSE(second.interrupted);
     EXPECT_EQ(ConcatOrDie(dir), expected);
@@ -306,12 +307,12 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
       cancel.RequestCancel();
     });
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     trigger.join();
     SetGlobalThreads(1);
     if (first.interrupted) {
       const WorkloadModel::GenerateReport second =
-          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/1);
+          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
       EXPECT_FALSE(second.interrupted);
       EXPECT_EQ(first.traces + second.traces, kCount);
     }
@@ -325,20 +326,21 @@ TEST_F(GenResumeTest, CheckpointTransfersAcrossShardCounts) {
 // count each round.
 TEST_F(GenResumeTest, ShardedMidRunCancelThenResumeIsByteIdentical) {
   const std::string expected = ExpectedBytes();
-  SetGlobalThreads(4);
   for (int round = 0; round < 3; ++round) {
     const std::string dir = Dir("sharded_midcancel_r" + std::to_string(round));
+    SetGlobalThreads(4);
     CancelToken cancel;
     std::thread trigger([&cancel, round] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2 * round + 1));
       cancel.RequestCancel();
     });
     const WorkloadModel::GenerateReport first =
-        RunSinkOnce(dir, /*resume=*/false, &cancel, /*shards=*/4);
+        RunSinkOnce(dir, /*resume=*/false, &cancel);
     trigger.join();
+    SetGlobalThreads(2);
     if (first.interrupted) {
-      const WorkloadModel::GenerateReport second = RunSinkOnce(
-          dir, /*resume=*/true, /*cancel=*/nullptr, /*shards=*/size_t{2});
+      const WorkloadModel::GenerateReport second =
+          RunSinkOnce(dir, /*resume=*/true, /*cancel=*/nullptr);
       EXPECT_FALSE(second.interrupted);
       EXPECT_EQ(first.traces + second.traces, kCount);
     }

@@ -195,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmNanTest,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
 // The blocked/tiled kernels must agree with the plain reference kernels on
-// shapes that exercise full tiles, edge tiles, and the thread-sharding path.
+// shapes that exercise full tiles and edge tiles in every transpose mode.
 class GemmOracleTest
     : public ::testing::TestWithParam<std::tuple<bool, bool, int, int, int>> {};
 

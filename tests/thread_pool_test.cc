@@ -1,18 +1,21 @@
 // Tests for the ThreadPool / ParallelFor primitive: full coverage of the
-// index range, empty ranges, exception propagation, nested-submit safety
-// (inner ParallelFor from a pool worker must run inline, not deadlock), and
-// the global pool configuration knobs.
+// index range, empty ranges, exception propagation, the one level of
+// parallelism (a section nested in a pool task runs inline, not deadlocking,
+// including in a task the caller stole while helping drain), and the global
+// pool configuration knobs.
 #include "src/util/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/obs/metrics.h"
 
 namespace cloudgen {
 namespace {
@@ -84,112 +87,53 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), kOuter * kInner);
 }
 
-// Bounded nested fan-out: a pool task under ScopedInnerParallelism(cap) may
-// run at most `cap` units of its nested section concurrently — and the
-// section must still complete (no deadlock) even when every worker is busy.
-TEST(ThreadPool, ScopedInnerParallelismBoundsNestedConcurrency) {
-  ThreadPool pool(4);
-  constexpr size_t kOuter = 4;
-  constexpr size_t kInner = 64;
-  constexpr size_t kCap = 2;
-  std::atomic<size_t> total{0};
-  std::vector<std::function<void()>> outer;
-  for (size_t o = 0; o < kOuter; ++o) {
-    outer.emplace_back([&] {
-      ScopedInnerParallelism scope(kCap);
-      std::atomic<int> running{0};
-      std::atomic<int> high_water{0};
-      pool.ParallelFor(0, kInner, [&](size_t) {
-        const int now = running.fetch_add(1) + 1;
-        int seen = high_water.load();
-        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        running.fetch_sub(1);
-        total.fetch_add(1);
-      });
-      EXPECT_LE(high_water.load(), static_cast<int>(kCap));
-    });
-  }
-  pool.RunAll(outer);
-  EXPECT_EQ(total.load(), kOuter * kInner);
-}
-
-// After a bounded nested section, the task is still "inside the pool": a
-// later un-scoped nested ParallelFor must run inline again (the scope must
-// restore the default, including across the submitter's help-drain loop,
-// which runs stolen tasks in between).
-TEST(ThreadPool, NestedContextRestoredAfterBoundedSection) {
-  ThreadPool pool(4);
-  std::atomic<size_t> total{0};
+// The help-drain: a top-level RunAll caller runs queued tasks while it waits.
+// A task it steals is a pool task, so a section nested in it runs inline; once
+// RunAll returns the caller is top-level again, so its next section fans out.
+// The workers' tasks wait until the caller has stolen one, so it always does.
+TEST(ThreadPool, HelpDrainRunsStolenTasksAsPoolTasks) {
+  ThreadPool pool(2);
+  obs::Counter& tasks_run = obs::Registry::Global().GetCounter("pool.tasks_run");
+  obs::Counter& tasks_inline = obs::Registry::Global().GetCounter("pool.tasks_inline");
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> stolen{false};
+  uint64_t nested_inline = 0;
+  std::vector<size_t> nested_order;
   std::vector<std::function<void()>> outer;
   for (size_t o = 0; o < 4; ++o) {
     outer.emplace_back([&] {
-      {
-        ScopedInnerParallelism scope(2);
-        pool.ParallelFor(0, 8, [&](size_t) { total.fetch_add(1); });
+      if (std::this_thread::get_id() != caller) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!stolen.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        return;
       }
-      // Un-scoped again: sequential inline execution proves the inner cap
-      // and the inside-pool flag both survived the bounded section.
-      std::vector<size_t> order;
-      pool.ParallelFor(0, 8, [&](size_t i) { order.push_back(i); });
-      ASSERT_EQ(order.size(), 8u);
-      for (size_t i = 0; i < 8; ++i) {
-        EXPECT_EQ(order[i], i);
+      if (stolen.load()) {
+        return;
       }
-      total.fetch_add(8);
+      const uint64_t before = tasks_inline.Value();
+      std::vector<std::function<void()>> nested;
+      for (size_t i = 0; i < 3; ++i) {
+        nested.emplace_back([&nested_order, i] { nested_order.push_back(i); });
+      }
+      pool.RunAll(nested);
+      nested_inline = tasks_inline.Value() - before;
+      stolen.store(true);
     });
   }
   pool.RunAll(outer);
-  EXPECT_EQ(total.load(), 4u * 16u);
-}
+  ASSERT_TRUE(stolen.load());
+  EXPECT_EQ(nested_inline, 3u);
+  EXPECT_EQ(nested_order, (std::vector<size_t>{0, 1, 2}));
 
-// Oversubscription regression for the sharded-generation pattern: N shard
-// tasks each running bounded nested sections with cap = pool/N must complete
-// under full queue pressure, and never exceed the pool in total concurrency.
-TEST(ThreadPool, ShardPatternNeverOversubscribesThePool) {
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kShards = 2;
-  constexpr size_t kCap = kWorkers / kShards;
-  ThreadPool pool(kWorkers);
-  std::atomic<int> running{0};
-  std::atomic<int> high_water{0};
-  std::atomic<size_t> total{0};
-  std::vector<std::function<void()>> shards;
-  for (size_t s = 0; s < kShards; ++s) {
-    shards.emplace_back([&] {
-      ScopedInnerParallelism scope(kCap);
-      for (int tick = 0; tick < 20; ++tick) {
-        pool.ParallelFor(0, 8, [&](size_t) {
-          const int now = running.fetch_add(1) + 1;
-          int seen = high_water.load();
-          while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-          running.fetch_sub(1);
-          total.fetch_add(1);
-        });
-      }
-    });
-  }
-  pool.RunAll(shards);
-  EXPECT_EQ(total.load(), kShards * 20u * 8u);
-  // shards × cap concurrent units is the contract (the submitting shard
-  // thread helps drain its own section, never adding beyond the cap).
-  EXPECT_LE(high_water.load(), static_cast<int>(kShards * kCap));
-}
-
-// On a non-pool thread the scope bounds top-level sections too.
-TEST(ThreadPool, ScopeBoundsTopLevelSections) {
-  ThreadPool pool(4);
-  ScopedInnerParallelism scope(1);
-  // Cap 1 means inline: sequential ordered execution on the calling thread.
-  std::vector<size_t> order;
-  pool.ParallelFor(0, 8, [&](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 8u);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(order[i], i);
-  }
+  const uint64_t run_before = tasks_run.Value();
+  const uint64_t inline_before = tasks_inline.Value();
+  std::atomic<int> calls{0};
+  pool.RunAll(std::vector<std::function<void()>>(3, [&] { calls.fetch_add(1); }));
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_EQ(tasks_run.Value() - run_before, 3u);
+  EXPECT_EQ(tasks_inline.Value(), inline_before);
 }
 
 TEST(ThreadPool, RunAllExecutesEveryTask) {
