@@ -1,5 +1,5 @@
 // Microbenchmarks for the performance-critical substrate: GEMM (reference vs
-// blocked), data-parallel BPTT, parallel generation-style stream stepping,
+// Gemm), data-parallel BPTT, parallel generation-style stream stepping,
 // Kaplan-Meier fitting, and packing decisions. Not a paper table —
 // engineering telemetry for the library itself.
 //
@@ -17,8 +17,8 @@
 // < 1.05), and the hardware parallelism used
 // for the threaded variants under bench.hardware_threads. The speedups
 // compare the seed's reference kernels / single-thread / allocating step
-// paths against the blocked + data-parallel + zero-allocation substrate on
-// the same machine.
+// paths against the packed-panel GEMM + data-parallel + zero-allocation
+// substrate on the same machine.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -53,7 +53,7 @@ size_t HardwareThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-// --- GEMM: reference oracle vs blocked -------------------------------------
+// --- GEMM: reference oracle vs Gemm's packed-panel kernel ------------------
 
 double BenchGemm(size_t n, double* blocked_ms) {
   Rng rng(1);
@@ -148,13 +148,13 @@ double BenchGeneration(size_t threads, const std::string& name) {
 // --- One-row generation step vs the naive step -----------------------------
 //
 // The naive stepper replicates the per-token inference step as it was before
-// the small-M kernels and the step workspace: the tile-dispatched GEMM
-// kernel for every shape (GemmTiled is exactly that kernel) and freshly
-// allocated gate, state, and hidden matrices on every token. The measured
-// side is StepLogits with a StepWorkspace, the step every generator runs on
-// one stream. Weight values are irrelevant to timing, so the naive stepper
-// carries its own random parameters rather than reaching into private
-// network state.
+// the step workspace: Gemm on freshly allocated gate, state, and hidden
+// matrices on every token, with scalar gate activations. The measured side
+// is StepLogits with a StepWorkspace, the step every generator runs on one
+// stream, so the ratio measures the workspace and the vector activations;
+// both sides run the same GEMM. Weight values are irrelevant to timing, so
+// the naive stepper carries its own random parameters rather than reaching
+// into private network state.
 struct NaiveStepper {
   struct Layer {
     Matrix wx;  // (in, 4H)
@@ -193,8 +193,8 @@ struct NaiveStepper {
       const Layer& layer = layers[l];
       const size_t hidden = layer.wh.Rows();
       Matrix gates(1, 4 * hidden);
-      GemmTiled(false, false, 1.0f, current, layer.wx, 0.0f, &gates);
-      GemmTiled(false, false, 1.0f, (*h)[l], layer.wh, 1.0f, &gates);
+      Gemm(false, false, 1.0f, current, layer.wx, 0.0f, &gates);
+      Gemm(false, false, 1.0f, (*h)[l], layer.wh, 1.0f, &gates);
       Matrix h_new(1, hidden);
       Matrix c_new(1, hidden);
       const float* bias = layer.b.Row(0);
@@ -214,7 +214,7 @@ struct NaiveStepper {
       current = (*h)[l];
     }
     logits->Resize(1, head_w.Cols());
-    GemmTiled(false, false, 1.0f, current, head_w, 0.0f, logits);
+    Gemm(false, false, 1.0f, current, head_w, 0.0f, logits);
     float* row = logits->Row(0);
     const float* b = head_b.Row(0);
     for (size_t j = 0; j < head_w.Cols(); ++j) {
@@ -330,7 +330,7 @@ double BenchGenGuardedStep() {
 // --- Batched multi-stream step vs 64 one-row steps --------------------------
 //
 // The batched inference engine's payoff: advancing B concurrent streams as
-// one blocked GEMM batch per layer instead of B per-stream GEMVs. Both
+// one packed-panel GEMM batch per layer instead of B per-stream GEMVs. Both
 // variants run the same LSTM step on one thread without allocating and
 // produce bitwise-identical per-row outputs (see tests/batch_gen_test.cc);
 // this measures only the throughput gap at the engine's gate batch size (64

@@ -48,19 +48,6 @@ ClassFactoredHead::ClassFactoredHead(size_t in_dim, FactoredVocabMap map, Rng& r
   CG_CHECK(map_.offsets.front() == 0);
 }
 
-void ClassFactoredHead::Forward(const Matrix& h, Matrix* concat) {
-  cluster_.Forward(h, &u_tmp_);
-  member_.Forward(h, &v_tmp_);
-  const size_t c = map_.NumClusters();
-  const size_t k = map_.NumTokens();
-  concat->Resize(h.Rows(), c + k);
-  for (size_t r = 0; r < h.Rows(); ++r) {
-    float* row = concat->Row(r);
-    std::copy(u_tmp_.Row(r), u_tmp_.Row(r) + c, row);
-    std::copy(v_tmp_.Row(r), v_tmp_.Row(r) + k, row + c);
-  }
-}
-
 void ClassFactoredHead::ForwardInference(const Matrix& h, Matrix* concat) const {
   Matrix u;
   Matrix v;
@@ -68,7 +55,7 @@ void ClassFactoredHead::ForwardInference(const Matrix& h, Matrix* concat) const 
   member_.ForwardInference(h, &v);
   const size_t c = map_.NumClusters();
   const size_t k = map_.NumTokens();
-  concat->Resize(h.Rows(), c + k);
+  concat->EnsureShape(h.Rows(), c + k);
   for (size_t r = 0; r < h.Rows(); ++r) {
     float* row = concat->Row(r);
     std::copy(u.Row(r), u.Row(r) + c, row);
@@ -76,21 +63,21 @@ void ClassFactoredHead::ForwardInference(const Matrix& h, Matrix* concat) const 
   }
 }
 
-void ClassFactoredHead::Backward(const Matrix& dconcat, Matrix* dh) {
+void ClassFactoredHead::Backward(const Matrix& h, const Matrix& dconcat, Matrix* dh) {
   CG_CHECK(dh != nullptr);
   const size_t c = map_.NumClusters();
   const size_t k = map_.NumTokens();
   CG_CHECK(dconcat.Cols() == c + k);
   const size_t batch = dconcat.Rows();
-  du_tmp_.Resize(batch, c);
-  dv_tmp_.Resize(batch, k);
+  du_tmp_.EnsureShape(batch, c);
+  dv_tmp_.EnsureShape(batch, k);
   for (size_t r = 0; r < batch; ++r) {
     const float* row = dconcat.Row(r);
     std::copy(row, row + c, du_tmp_.Row(r));
     std::copy(row + c, row + c + k, dv_tmp_.Row(r));
   }
-  cluster_.Backward(du_tmp_, dh);
-  member_.Backward(dv_tmp_, &dh_tmp_);
+  cluster_.Backward(h, du_tmp_, dh);
+  member_.Backward(h, dv_tmp_, &dh_tmp_);
   dh->Add(dh_tmp_);
 }
 

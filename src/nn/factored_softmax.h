@@ -71,14 +71,13 @@ class ClassFactoredHead {
   size_t ConcatDim() const { return map_.NumClusters() + map_.NumTokens(); }
   const FactoredVocabMap& Map() const { return map_; }
 
-  // Training forward: concat logits [u | v] of shape (B, C + K). Forward
-  // caches the input for Backward; ForwardInference does not.
-  void Forward(const Matrix& h, Matrix* concat);
+  // Training forward: concat logits [u | v] of shape (B, C + K).
   void ForwardInference(const Matrix& h, Matrix* concat) const;
 
-  // Backprop from d(concat) of shape (B, C + K); accumulates parameter
-  // gradients and writes dL/dh (required — the LSTM below always needs it).
-  void Backward(const Matrix& dconcat, Matrix* dh);
+  // Backprop from d(concat) of shape (B, C + K), given the forward input h;
+  // accumulates parameter gradients and writes dL/dh (required — the LSTM
+  // below always needs it).
+  void Backward(const Matrix& h, const Matrix& dconcat, Matrix* dh);
 
   // Generation-time pieces, one hidden row at a time. `acc` is caller
   // scratch (NumClusters() / slice-width floats); outputs are
@@ -104,8 +103,6 @@ class ClassFactoredHead {
 
   // Training scratch (the training path may allocate; generation never
   // touches these).
-  Matrix u_tmp_;
-  Matrix v_tmp_;
   Matrix du_tmp_;
   Matrix dv_tmp_;
   Matrix dh_tmp_;

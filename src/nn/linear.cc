@@ -17,15 +17,10 @@ Linear::Linear(size_t in_dim, size_t out_dim, Rng& rng)
   weight_.RandomUniform(rng, bound);
 }
 
-void Linear::Forward(const Matrix& x, Matrix* y) {
-  cached_x_ = x;
-  ForwardInference(x, y);
-}
-
 void Linear::ForwardInference(const Matrix& x, Matrix* y) const {
   CG_CHECK(y != nullptr);
   CG_CHECK(x.Cols() == weight_.Rows());
-  y->Resize(x.Rows(), weight_.Cols());
+  y->EnsureShape(x.Rows(), weight_.Cols());
   Gemm(false, false, 1.0f, x, weight_, 0.0f, y);
   for (size_t r = 0; r < y->Rows(); ++r) {
     float* row = y->Row(r);
@@ -49,11 +44,11 @@ void Linear::ForwardSpan(const float* x, size_t c0, size_t n, float* acc,
   }
 }
 
-void Linear::Backward(const Matrix& dy, Matrix* dx) {
-  CG_CHECK(dy.Rows() == cached_x_.Rows());
+void Linear::Backward(const Matrix& x, const Matrix& dy, Matrix* dx) {
+  CG_CHECK(dy.Rows() == x.Rows());
   CG_CHECK(dy.Cols() == weight_.Cols());
   // dW += X^T dY.
-  Gemm(true, false, 1.0f, cached_x_, dy, 1.0f, &grad_weight_);
+  Gemm(true, false, 1.0f, x, dy, 1.0f, &grad_weight_);
   // db += column sums of dY.
   for (size_t r = 0; r < dy.Rows(); ++r) {
     const float* row = dy.Row(r);
@@ -63,7 +58,7 @@ void Linear::Backward(const Matrix& dy, Matrix* dx) {
     }
   }
   if (dx != nullptr) {
-    dx->Resize(dy.Rows(), weight_.Rows());
+    dx->EnsureShape(dy.Rows(), weight_.Rows());
     Gemm(false, true, 1.0f, dy, weight_, 0.0f, dx);
   }
 }

@@ -22,10 +22,8 @@ class Linear {
   size_t InDim() const { return weight_.Rows(); }
   size_t OutDim() const { return weight_.Cols(); }
 
-  // Forward pass; caches X for the subsequent Backward call.
-  void Forward(const Matrix& x, Matrix* y);
-
-  // Inference-only forward (no caching).
+  // Forward pass: Y = X * W + b. `y` is resized only when its shape
+  // differs, so a caller that keeps it across calls allocates nothing.
   void ForwardInference(const Matrix& x, Matrix* y) const;
 
   // Zero-allocation column-span inference for one input row:
@@ -40,9 +38,10 @@ class Linear {
   // ForwardInference at every row count.
   void ForwardSpan(const float* x, size_t c0, size_t n, float* acc, float* y) const;
 
-  // Given dL/dY, accumulates parameter gradients and writes dL/dX (optional:
-  // pass nullptr when the input gradient is not needed).
-  void Backward(const Matrix& dy, Matrix* dx);
+  // Given the forward input X and dL/dY, accumulates parameter gradients and
+  // writes dL/dX (optional: pass nullptr when the input gradient is not
+  // needed; resized only when its shape differs).
+  void Backward(const Matrix& x, const Matrix& dy, Matrix* dx);
 
   // Parameter access for the optimizer. Order: weight, bias.
   std::vector<Matrix*> Params();
@@ -58,7 +57,6 @@ class Linear {
   Matrix bias_;         // (1, out)
   Matrix grad_weight_;  // (in, out)
   Matrix grad_bias_;    // (1, out)
-  Matrix cached_x_;     // (batch, in) from the last Forward.
 };
 
 }  // namespace cloudgen

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "src/nn/activations.h"
 #include "src/util/check.h"
@@ -118,32 +119,32 @@ void LstmLayer::BackwardSequence(const std::vector<Matrix>& doutputs,
 
   Matrix dh_next(batch, hidden_);
   Matrix dc_next(batch, hidden_);
+  Matrix dc_prev(batch, hidden_);
   Matrix dgates(batch, 4 * hidden_);
   for (size_t t = steps; t-- > 0;) {
-    // Total gradient on h_t: loss term + recurrent term.
-    Matrix dh = doutputs[t];
-    CG_CHECK(dh.Rows() == batch && dh.Cols() == hidden_);
-    dh.Add(dh_next);
-
+    const Matrix& dout = doutputs[t];
+    CG_CHECK(dout.Rows() == batch && dout.Cols() == hidden_);
     const Matrix& gates = cache_gates_[t];
     const Matrix& tanh_c = cache_tanh_c_[t];
     const Matrix& c_prev = cache_c_prev_[t];
-    Matrix dc_prev(batch, hidden_);
     for (size_t r = 0; r < batch; ++r) {
       const float* g = gates.Row(r);
       const float* tc = tanh_c.Row(r);
       const float* cp = c_prev.Row(r);
-      const float* dh_row = dh.Row(r);
+      const float* dy = dout.Row(r);
+      const float* dhn = dh_next.Row(r);
       const float* dcn = dc_next.Row(r);
       float* dg = dgates.Row(r);
       float* dcp = dc_prev.Row(r);
       for (size_t j = 0; j < hidden_; ++j) {
+        // Total gradient on h_t: loss term + recurrent term.
+        const float dh = dy[j] + dhn[j];
         const float i_gate = g[j];
         const float f_gate = g[hidden_ + j];
         const float g_gate = g[2 * hidden_ + j];
         const float o_gate = g[3 * hidden_ + j];
-        const float do_gate = dh_row[j] * tc[j];
-        const float dc = dh_row[j] * o_gate * (1.0f - tc[j] * tc[j]) + dcn[j];
+        const float do_gate = dh * tc[j];
+        const float dc = dh * o_gate * (1.0f - tc[j] * tc[j]) + dcn[j];
         const float di = dc * g_gate;
         const float df = dc * cp[j];
         const float dgg = dc * i_gate;
@@ -167,14 +168,14 @@ void LstmLayer::BackwardSequence(const std::vector<Matrix>& doutputs,
       }
     }
 
-    // Input and recurrent gradients.
+    // Input and recurrent gradients. Every element of dh_next and dc_prev
+    // was read above and is overwritten before it is read again.
     if (dinputs != nullptr) {
-      (*dinputs)[t].Resize(batch, wx_.Rows());
+      (*dinputs)[t].EnsureShape(batch, wx_.Rows());
       Gemm(false, true, 1.0f, dgates, wx_, 0.0f, &(*dinputs)[t]);
     }
-    dh_next.Resize(batch, hidden_);
     Gemm(false, true, 1.0f, dgates, wh_, 0.0f, &dh_next);
-    dc_next = dc_prev;
+    std::swap(dc_next, dc_prev);
   }
 }
 
@@ -185,14 +186,12 @@ void LstmLayer::StepForwardBatch(const Matrix& x, Matrix* h, Matrix* c,
   const size_t h4 = 4 * hidden_;
   CG_DCHECK(h->Rows() == batch && h->Cols() == hidden_);
   CG_DCHECK(c->Rows() == batch && c->Cols() == hidden_);
-  if (gates->Rows() != batch || gates->Cols() != h4) {
-    gates->Resize(batch, h4);
-  }
+  gates->EnsureShape(batch, h4);
   // Two GEMMs, never fused into one [x|h] product, which would change the
   // accumulation chains. Both products fully consume `h` before the
   // activation below overwrites it, so the in-place state update is safe.
-  // Below Gemm's row tile (one stream, a 3-row training shard) both
-  // products run the small-M GEMV kernel.
+  // Below Gemm's 4-row panel (one stream, a 3-row training shard) both
+  // products run the GEMV strip.
   Gemm(false, false, 1.0f, x, wx_, 0.0f, gates);
   Gemm(false, false, 1.0f, *h, wh_, 1.0f, gates);
   for (size_t r = 0; r < batch; ++r) {

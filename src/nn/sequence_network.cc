@@ -48,8 +48,7 @@ void SequenceNetwork::ForwardSequence(const std::vector<Matrix>& inputs,
   const size_t steps = cached_hidden_.size();
   logits->resize(steps);
   for (size_t t = 0; t < steps; ++t) {
-    // The head caches its input per call; for the sequence case we rebuild
-    // the per-step cache during backward instead, so use inference forward.
+    // The backward reads each step's head input from cached_hidden_.
     if (IsFactored()) {
       fhead_.ForwardInference(cached_hidden_[t], &(*logits)[t]);
     } else {
@@ -64,14 +63,10 @@ void SequenceNetwork::BackwardSequence(const std::vector<Matrix>& dlogits) {
   CG_CHECK(dlogits.size() == steps);
   std::vector<Matrix> dhidden(steps);
   for (size_t t = 0; t < steps; ++t) {
-    // Re-prime the head's cache with this step's input, then backprop.
-    Matrix unused;
     if (IsFactored()) {
-      fhead_.Forward(cached_hidden_[t], &unused);
-      fhead_.Backward(dlogits[t], &dhidden[t]);
+      fhead_.Backward(cached_hidden_[t], dlogits[t], &dhidden[t]);
     } else {
-      head_.Forward(cached_hidden_[t], &unused);
-      head_.Backward(dlogits[t], &dhidden[t]);
+      head_.Backward(cached_hidden_[t], dlogits[t], &dhidden[t]);
     }
   }
   lstm_.BackwardSequence(dhidden);
@@ -103,12 +98,8 @@ void SequenceNetwork::StepRecurrent(const Matrix& x, LstmState* state,
 void SequenceNetwork::EnsureBatchStep(size_t rows, BatchStepWorkspace* ws) const {
   CG_CHECK(ws != nullptr && rows > 0);
   const size_t h4 = 4 * config_.hidden_dim;
-  if (ws->x.Rows() != rows || ws->x.Cols() != config_.input_dim) {
-    ws->x.Resize(rows, config_.input_dim);
-  }
-  if (ws->gates.Rows() != rows || ws->gates.Cols() != h4) {
-    ws->gates.Resize(rows, h4);
-  }
+  ws->x.EnsureShape(rows, config_.input_dim);
+  ws->gates.EnsureShape(rows, h4);
   if (ws->state.h.size() != config_.num_layers) {
     ws->state = lstm_.ZeroState(rows);
   } else if (ws->state.h[0].Rows() != rows) {

@@ -60,6 +60,13 @@ class Matrix {
 
   // Resizes, discarding contents (zero-filled).
   void Resize(size_t rows, size_t cols);
+  // Resizes only when the shape differs, and keeps the contents otherwise:
+  // for outputs that are overwritten anyway, such as a beta-0 Gemm's.
+  void EnsureShape(size_t rows, size_t cols) {
+    if (rows_ != rows || cols_ != cols) {
+      Resize(rows, cols);
+    }
+  }
 
   // In-place scaling: *this *= s.
   void Scale(float s);
@@ -87,35 +94,26 @@ class Matrix {
 };
 
 // C = alpha * op(A) * op(B) + beta * C, where op is optional transposition.
-// Shapes are validated with CG_CHECK.
+// Shapes are validated with CG_CHECK. Runs on the calling thread.
 //
-// Uses register-tiled, stride-1-vectorizable blocked kernels on the calling
-// thread. Every output element is a single fixed-order accumulation chain
-// (k ascending), so the result is bitwise-identical for any tile
-// partitioning.
-//
-// When op(A) has fewer rows than the tile height, dispatches to GEMV-shaped
-// small-M kernels that stream op(B) exactly once instead of once per column
-// tile. Their per-element accumulation chains are identical to the tiled
-// kernels', so the dispatch is invisible in the output bits (enforced by
-// tests against GemmTiled). The NN and TN small-M kernels run the same
-// compiled GEMV loop as GemvAccumulate, so a one-row LSTM step through Gemm
-// costs what a hand-written GEMV step would.
+// NN and TN products compute every output element as one fixed chain: a
+// zeroed accumulator, p ascending, acc += (alpha * a) * b, then C += acc
+// after beta is applied. So each row of C is bitwise the same whatever the
+// row count, and training's forward, a batched generation step and a
+// one-row step agree bit for bit. Rows run through one packed-panel register
+// micro-kernel (alpha * op(A) packed p-major, an accumulator tile held in
+// vector registers for the whole k loop), and the 1-3 rows left over, or
+// every row of a product with fewer rows, through the GEMV strip that
+// GemvAccumulate also runs. NT and TT products (TT on a materialized A^T)
+// compute each element as an 8-partial dot-product chain.
 void Gemm(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix* c);
 
-// The tile-only blocked path with no small-M dispatch. This is bitwise- and
-// performance-identical to what Gemm did before the small-M kernels existed;
-// it is kept callable as the oracle for the small-M bitwise tests and as the
-// baseline for the one-row generation step benchmarks.
-void GemmTiled(bool trans_a, bool trans_b, float alpha, const Matrix& a, const Matrix& b,
-               float beta, Matrix* c);
-
 // acc[j] += sum_p x[p] * w(p, j) for j in [0, n), with p strictly ascending —
-// one accumulation chain per element, the same chain the blocked NN kernels
-// produce for a one-row A with alpha = 1. `w` points at the first column of a
+// one accumulation chain per element, the same chain Gemm's NN product
+// computes for a one-row A with alpha = 1. `w` points at the first column of a
 // row-major span with row stride `ldw` (>= n); `acc` is accumulated into, not
-// zeroed. Gemm's small-M NN kernel runs the same loop; callers (the factored
+// zeroed. Gemm's leftover NN rows run the same loop; callers (the factored
 // softmax head's spans, via Linear::ForwardSpan) keep a preallocated `acc`
 // and add it to the destination afterwards, reproducing Gemm's
 // ApplyBeta-then-accumulate epilogue bit for bit. The per-element
@@ -127,9 +125,9 @@ void GemvAccumulate(const float* x, size_t k, const float* w, size_t ldw, size_t
                     float* acc);
 
 // Reference implementation: the original plain i-k-j kernels, single
-// threaded and unblocked. Kept as the correctness oracle for the blocked
-// kernels (tests/benchmarks); same semantics as Gemm, different float
-// summation order.
+// threaded and unblocked. Kept as the correctness oracle for Gemm's kernels
+// (tests/benchmarks); same semantics as Gemm, different float summation
+// order.
 void GemmReference(bool trans_a, bool trans_b, float alpha, const Matrix& a,
                    const Matrix& b, float beta, Matrix* c);
 

@@ -138,64 +138,75 @@ class GemmNanTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(GemmNanTest, ZeroTimesNanPropagates) {
   const auto [ta, tb] = GetParam();
-  // A is all zeros; B carries a single NaN. Every output column touching the
-  // NaN's row must be NaN even though every product has a zero factor.
-  constexpr size_t kM = 5;
+  // A is all zeros; B carries a NaN in one full column tile and one in the
+  // column tail (N 39 leaves a tail at every tile width: 32, 8 and 4 lanes).
+  // Every output column touching a NaN must be NaN even though every
+  // product has a zero factor. M crosses the 8-row and 4-row panels and the
+  // rows left over for the GEMV strip.
   constexpr size_t kK = 6;
-  constexpr size_t kN = 7;
-  Matrix a(ta ? kK : kM, ta ? kM : kK, 0.0f);
-  Matrix b(tb ? kN : kK, tb ? kK : kN, 1.0f);
-  const size_t poisoned_col = 3;
-  if (tb) {
-    b(poisoned_col, 2) = std::nanf("");
-  } else {
-    b(2, poisoned_col) = std::nanf("");
-  }
-  Matrix c(kM, kN, 0.0f);
-  Gemm(ta, tb, 1.0f, a, b, 0.0f, &c);
-  for (size_t i = 0; i < kM; ++i) {
-    for (size_t j = 0; j < kN; ++j) {
-      if (j == poisoned_col) {
-        EXPECT_TRUE(std::isnan(c(i, j))) << "NaN swallowed at " << i << "," << j;
+  constexpr size_t kN = 39;
+  const size_t poisoned_cols[] = {3, kN - 2};
+  for (const size_t m : {size_t{4}, size_t{5}, size_t{9}, size_t{13}}) {
+    Matrix a(ta ? kK : m, ta ? m : kK, 0.0f);
+    Matrix b(tb ? kN : kK, tb ? kK : kN, 1.0f);
+    for (const size_t col : poisoned_cols) {
+      if (tb) {
+        b(col, 2) = std::nanf("");
       } else {
-        EXPECT_FLOAT_EQ(c(i, j), 0.0f);
+        b(2, col) = std::nanf("");
       }
     }
-  }
-  // The reference oracle must propagate identically.
-  Matrix cref(kM, kN, 0.0f);
-  GemmReference(ta, tb, 1.0f, a, b, 0.0f, &cref);
-  for (size_t i = 0; i < kM; ++i) {
-    EXPECT_TRUE(std::isnan(cref(i, poisoned_col))) << "reference swallowed NaN row " << i;
+    Matrix c(m, kN, 0.0f);
+    Gemm(ta, tb, 1.0f, a, b, 0.0f, &c);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < kN; ++j) {
+        if (j == poisoned_cols[0] || j == poisoned_cols[1]) {
+          EXPECT_TRUE(std::isnan(c(i, j))) << "NaN swallowed at m=" << m << " " << i << "," << j;
+        } else {
+          EXPECT_FLOAT_EQ(c(i, j), 0.0f);
+        }
+      }
+    }
+    // The reference oracle must propagate identically.
+    Matrix cref(m, kN, 0.0f);
+    GemmReference(ta, tb, 1.0f, a, b, 0.0f, &cref);
+    for (size_t i = 0; i < m; ++i) {
+      for (const size_t col : poisoned_cols) {
+        EXPECT_TRUE(std::isnan(cref(i, col))) << "reference swallowed NaN row " << i;
+      }
+    }
   }
 }
 
 TEST_P(GemmNanTest, NanInZeroRowOfAPropagates) {
   const auto [ta, tb] = GetParam();
   // Mirror case: the NaN sits in A while B holds the zeros.
-  constexpr size_t kM = 4;
   constexpr size_t kK = 5;
   constexpr size_t kN = 3;
-  Matrix a(ta ? kK : kM, ta ? kM : kK, 1.0f);
-  const size_t poisoned_row = 1;
-  if (ta) {
-    a(2, poisoned_row) = std::nanf("");
-  } else {
-    a(poisoned_row, 2) = std::nanf("");
-  }
-  Matrix b(tb ? kN : kK, tb ? kK : kN, 0.0f);
-  Matrix c(kM, kN, 0.0f);
-  Gemm(ta, tb, 1.0f, a, b, 0.0f, &c);
-  for (size_t j = 0; j < kN; ++j) {
-    EXPECT_TRUE(std::isnan(c(poisoned_row, j))) << "NaN swallowed at col " << j;
+  for (const size_t m : {size_t{4}, size_t{5}, size_t{9}, size_t{13}}) {
+    for (const size_t poisoned_row : {size_t{1}, m - 1}) {
+      Matrix a(ta ? kK : m, ta ? m : kK, 1.0f);
+      if (ta) {
+        a(2, poisoned_row) = std::nanf("");
+      } else {
+        a(poisoned_row, 2) = std::nanf("");
+      }
+      Matrix b(tb ? kN : kK, tb ? kK : kN, 0.0f);
+      Matrix c(m, kN, 0.0f);
+      Gemm(ta, tb, 1.0f, a, b, 0.0f, &c);
+      for (size_t j = 0; j < kN; ++j) {
+        EXPECT_TRUE(std::isnan(c(poisoned_row, j)))
+            << "NaN swallowed at m=" << m << " row " << poisoned_row << " col " << j;
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmNanTest,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
-// The blocked/tiled kernels must agree with the plain reference kernels on
-// shapes that exercise full tiles and edge tiles in every transpose mode.
+// Gemm's kernels must agree with the plain reference kernels on shapes that
+// exercise full tiles and edge tiles in every transpose mode.
 class GemmOracleTest
     : public ::testing::TestWithParam<std::tuple<bool, bool, int, int, int>> {};
 
@@ -221,25 +232,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 37, 64), ::testing::Values(19, 48),
                        ::testing::Values(16, 33)));
 
-// Gemm dispatches small-M products (M < the row tile), such as every one-row
-// generation step, to dedicated GEMV-style kernels. The contract is *bitwise*
-// equality with the tiled kernel (GemmTiled is the pre-dispatch Gemm), not
-// just numerical closeness: generated traces must be byte-identical whichever
-// route ran.
+// Every row of an M-row product must be memcmp-equal to the same row
+// computed alone: generated traces are byte-identical whether a row was
+// stepped alone, in a batch of any size, or in training's forward pass. M
+// spans both panel heights (8 and 4) and every count of rows left over for
+// the GEMV strip; K crosses the 8-partial dot chain width; N crosses the
+// register tile's width (the column tail) and the GEMV strip's 512 columns.
 // memcmp (not EXPECT_EQ on floats) so a -0.0/+0.0 divergence cannot hide.
-class GemmSmallMBitwiseTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+class GemmRowInvarianceTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
-TEST_P(GemmSmallMBitwiseTest, MatchesTiledKernelBitwise) {
+TEST_P(GemmRowInvarianceTest, EachRowMatchesTheRowComputedAlone) {
   const auto [ta, tb] = GetParam();
-  // K values cross the 8-partial dot chain width; N values cross the column
-  // strip width (512) of the small-M kernels. M spans both sides of the
-  // dispatch boundary (M < 4 takes the small path).
-  const size_t ks[] = {1, 5, 7, 8, 16, 19, 33};
-  const size_t ns[] = {1, 3, 32, 47, 64, 513};
+  const size_t ks[] = {1, 5, 8, 19, 33};
+  const size_t ns[] = {1, 3, 17, 32, 47, 64, 513};
   const float alphas[] = {1.0f, 0.5f};
   const float betas[] = {0.0f, 1.0f, 0.7f};
   Rng rng(4242);
-  for (size_t m = 1; m <= 5; ++m) {
+  for (size_t m = 1; m <= 20; ++m) {
     for (size_t k : ks) {
       for (size_t n : ns) {
         const Matrix a = ta ? RandomMatrix(k, m, rng) : RandomMatrix(m, k, rng);
@@ -248,12 +257,20 @@ TEST_P(GemmSmallMBitwiseTest, MatchesTiledKernelBitwise) {
         for (float alpha : alphas) {
           for (float beta : betas) {
             Matrix c = c0;
-            Matrix c_tiled = c0;
             Gemm(ta, tb, alpha, a, b, beta, &c);
-            GemmTiled(ta, tb, alpha, a, b, beta, &c_tiled);
-            ASSERT_EQ(std::memcmp(c.Data(), c_tiled.Data(), c.Size() * sizeof(float)), 0)
-                << "ta=" << ta << " tb=" << tb << " m=" << m << " k=" << k
-                << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+            for (size_t i = 0; i < m; ++i) {
+              // Row i of op(A) as a one-row operand in the same layout.
+              Matrix a_row = ta ? Matrix(k, 1) : Matrix(1, k);
+              for (size_t p = 0; p < k; ++p) {
+                a_row.Data()[p] = ta ? a(p, i) : a(i, p);
+              }
+              Matrix c_row(1, n);
+              std::memcpy(c_row.Data(), c0.Row(i), n * sizeof(float));
+              Gemm(ta, tb, alpha, a_row, b, beta, &c_row);
+              ASSERT_EQ(std::memcmp(c.Row(i), c_row.Data(), n * sizeof(float)), 0)
+                  << "ta=" << ta << " tb=" << tb << " m=" << m << " row=" << i
+                  << " k=" << k << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+            }
             // And numerically sane against the double-accumulation oracle.
             Matrix c_ref = c0;
             GemmReference(ta, tb, alpha, a, b, beta, &c_ref);
@@ -269,11 +286,107 @@ TEST_P(GemmSmallMBitwiseTest, MatchesTiledKernelBitwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmSmallMBitwiseTest,
+INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmRowInvarianceTest,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
-// NaN propagation through the small-M kernels (M below the dispatch cutoff):
-// a zero row in A times a NaN in B must still produce NaN.
+// A^T B^T is the NT product on a materialized A^T, bit for bit, at every
+// row count.
+TEST(GemmTransposeBoth, MatchesNtOnMaterializedTranspose) {
+  const size_t ks[] = {1, 5, 8, 19, 33, 130};
+  const size_t ns[] = {1, 3, 17, 47};
+  Rng rng(77);
+  for (size_t m = 1; m <= 20; ++m) {
+    for (size_t k : ks) {
+      for (size_t n : ns) {
+        const Matrix a = RandomMatrix(k, m, rng);
+        const Matrix b = RandomMatrix(n, k, rng);
+        const Matrix c0 = RandomMatrix(m, n, rng);
+        for (float beta : {0.0f, 0.7f}) {
+          Matrix c = c0;
+          Matrix c_nt = c0;
+          Gemm(true, true, 0.5f, a, b, beta, &c);
+          Gemm(false, true, 0.5f, a.Transposed(), b, beta, &c_nt);
+          ASSERT_EQ(std::memcmp(c.Data(), c_nt.Data(), c.Size() * sizeof(float)), 0)
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
+// One step of the chain, acc + (alpha * a) * b, as the build's kernels must
+// round it: one fused multiply-add on a build with FMA, a rounded product
+// and then a rounded sum on a build without. Spelled out rather than left
+// to the compiler, which may vectorize the products of a scalar reduction
+// loop unfused and contract others.
+float ChainStep(float acc, float av, float b) {
+#if defined(__FMA__)
+  return std::fma(av, b, acc);
+#else
+  return acc + av * b;
+#endif
+}
+
+// The chain every NN and TN output element computes, written out as scalar
+// source: a zeroed accumulator, p ascending, acc += (alpha * a) * b, then
+// the beta-applied C plus acc. C is scaled by Matrix::Scale out of line, so
+// the final add cannot fuse with the beta multiply.
+Matrix ChainOracle(bool ta, float alpha, const Matrix& a, const Matrix& b, float beta,
+                   const Matrix& c0) {
+  Matrix c = c0;
+  if (beta == 0.0f) {
+    c.SetZero();
+  } else if (beta != 1.0f) {
+    c.Scale(beta);
+  }
+  const size_t k = b.Rows();
+  for (size_t i = 0; i < c.Rows(); ++i) {
+    for (size_t j = 0; j < c.Cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < k; ++p) {
+        acc = ChainStep(acc, alpha * (ta ? a(p, i) : a(i, p)), b(p, j));
+      }
+      c(i, j) += acc;
+    }
+  }
+  return c;
+}
+
+class GemmChainOracleTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(GemmChainOracleTest, NnAndTnEqualTheScalarChain) {
+  const bool ta = GetParam();
+  // M crosses both panel heights and the leftover rows; K crosses the
+  // packed panel's 256-deep chunk; N crosses the column tail.
+  const size_t ms[] = {1, 3, 4, 7, 8, 9, 12, 13, 17, 20};
+  const size_t ks[] = {1, 3, 19, 64, 156, 257};
+  const size_t ns[] = {1, 17, 32, 47, 64, 273};
+  Rng rng(31337);
+  for (size_t m : ms) {
+    for (size_t k : ks) {
+      for (size_t n : ns) {
+        const Matrix a = ta ? RandomMatrix(k, m, rng) : RandomMatrix(m, k, rng);
+        const Matrix b = RandomMatrix(k, n, rng);
+        const Matrix c0 = RandomMatrix(m, n, rng);
+        for (float alpha : {1.0f, 0.75f}) {
+          for (float beta : {0.0f, 1.0f, 0.7f}) {
+            Matrix c = c0;
+            Gemm(ta, false, alpha, a, b, beta, &c);
+            const Matrix expected = ChainOracle(ta, alpha, a, b, beta, c0);
+            ASSERT_EQ(std::memcmp(c.Data(), expected.Data(), c.Size() * sizeof(float)), 0)
+                << "ta=" << ta << " m=" << m << " k=" << k << " n=" << n
+                << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NnAndTn, GemmChainOracleTest, ::testing::Bool());
+
+// NaN propagation through the GEMV strip that products with fewer rows than
+// a panel run: a zero row in A times a NaN in B must still produce NaN.
 class GemmSmallMNanTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(GemmSmallMNanTest, ZeroTimesNanPropagatesAtSmallM) {
@@ -308,9 +421,9 @@ INSTANTIATE_TEST_SUITE_P(AllTransposes, GemmSmallMNanTest,
 
 TEST(GemvAccumulate, AccumulatesOnTopOfExistingValues) {
   // Contract: acc[j] += sum_p x[p] * W(p, j), without zeroing acc first. The
-  // bitwise guarantees of the workspace step are pinned by the Gemm small-M
-  // suite above and the workspace-route tests in nn_test; here we check the
-  // accumulate semantics numerically.
+  // bitwise guarantees of the workspace step are pinned by the Gemm row
+  // invariance and chain suites above and the workspace-route tests in
+  // nn_test; here we check the accumulate semantics numerically.
   Rng rng(11);
   const Matrix x = RandomMatrix(1, 9, rng);
   const Matrix w = RandomMatrix(9, 13, rng);

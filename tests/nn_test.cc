@@ -224,9 +224,9 @@ TEST(Linear, GradientCheck) {
     return 0.5 * y.SquaredNorm();
   };
   Matrix y;
-  layer.Forward(x, &y);
+  layer.ForwardInference(x, &y);
   Matrix dx;
-  layer.Backward(y, &dx);
+  layer.Backward(x, y, &dx);
 
   auto params = layer.Params();
   auto grads = layer.Grads();
